@@ -324,10 +324,10 @@ let micro ~smoke () =
   Printf.printf "%-28s %s\n" "phase-breakdown-tea8"
     (String.concat ", "
        (List.map (fun (name, s) -> Printf.sprintf "%s %.3fs" name s) phases));
+  let tree = Core.Analyze.tree a in
   let peak_power =
     Test.make ~name:"algorithm2-peak-power"
-      (Staged.stage (fun () ->
-           ignore (Core.Peak_power.of_tree pa a.Core.Analyze.tree)))
+      (Staged.stage (fun () -> ignore (Core.Peak_power.of_tree pa tree)))
   in
   let cpu_build =
     Test.make ~name:"cpu-elaboration" (Staged.stage (fun () -> ignore (Cpu.build ())))
@@ -349,7 +349,7 @@ let micro ~smoke () =
       ("symbolic-analysis-tea8-nospec", sym_cycles);
       ("symbolic-analysis-tea8-j1", sym_cycles);
       ("symbolic-analysis-tea8-jN", sym_cycles);
-      ("algorithm2-peak-power", float_of_int (Array.length a.Core.Analyze.flattened));
+      ("algorithm2-peak-power", float_of_int (Array.length a.Core.Analyze.power_trace));
     ]
   in
   let collected = ref [] in
@@ -603,8 +603,8 @@ let ablate () =
   let b = Benchprogs.Bench.find "intAVG" in
   let img = Benchprogs.Bench.assemble b in
   let a = Core.Analyze.run pa cpu img in
-  let path = a.Core.Analyze.flattened in
-  let tree = a.Core.Analyze.tree in
+  let path = Core.Analyze.flattened a in
+  let tree = Core.Analyze.tree a in
   let via_vcd, _, _ =
     Core.Evenodd.peak_power_via_vcd pa lib ~initial:tree.Gatesim.Trace.initial path
   in
@@ -682,7 +682,7 @@ let ablate () =
   let b4 = Benchprogs.Bench.find "mult" in
   let a4 = Core.Analyze.run pa cpu (Benchprogs.Bench.assemble b4) in
   let without_x =
-    Array.map (fun cy -> Poweran.cycle_power_observed pa cy) a4.Core.Analyze.flattened
+    Array.map (fun cy -> Poweran.cycle_power_observed pa cy) (Core.Analyze.flattened a4)
   in
   Printf.printf
     "  mult: bound with X-activity %.4f mW; transitions-only (unsound!) %.4f mW\n"

@@ -366,27 +366,10 @@ let cache_clear_cmd =
     (Cmd.info "clear" ~doc:"Delete every persistent cache entry")
     Term.(const run $ Cliterm.term)
 
-let cache_migrate_cmd =
-  let run c =
-    match Cliterm.cache c with
-    | None -> handle (Error (Xbound.Error.Cache "cache disabled (--no-cache)"))
-    | Some cache ->
-      let moved = Cache.migrate cache in
-      Printf.printf "migrated %d entr%s into shard subdirectories\n" moved
-        (if moved = 1 then "y" else "ies")
-  in
-  Cmd.v
-    (Cmd.info "migrate"
-       ~doc:
-         "Move flat legacy cache entries into the sharded on-disk layout \
-          (entries are also adopted lazily on first access; this migrates \
-          everything at once)")
-    Term.(const run $ Cliterm.term)
-
 let cache_cmd =
   Cmd.group
-    (Cmd.info "cache" ~doc:"Inspect, migrate or clear the persistent analysis cache")
-    [ cache_stats_cmd; cache_clear_cmd; cache_migrate_cmd ]
+    (Cmd.info "cache" ~doc:"Inspect or clear the persistent analysis cache")
+    [ cache_stats_cmd; cache_clear_cmd ]
 
 (* ---------------- the daemon ---------------- *)
 

@@ -41,7 +41,7 @@ let () =
     (Core.Multiprog.max_peak [ main; isr ] *. 1e3);
   Printf.printf "  union-of-activities bound: %.3f mW (conservative)\n"
     (Core.Multiprog.union_peak_bound ctx.Report.Context.pa
-       [ main.Core.Analyze.tree; isr.Core.Analyze.tree ]
+       [ Core.Analyze.tree main; Core.Analyze.tree isr ]
     *. 1e3);
 
   (* what the tighter bound buys at the system level *)

@@ -157,18 +157,13 @@ let rec mkdir_p d =
 
 (* Entries are sharded by the first two hex digits of the key
    (dir/ab/<ns>.abcd....v1), so 256 concurrent writers rename into 256
-   directories instead of contending on one. Entries written by older
-   versions live flat in [dir]; they are still found on load (and moved
-   into their shard as a side effect), and [migrate] relocates them in
-   bulk. *)
+   directories instead of contending on one. *)
 let shard_of key = if String.length key >= 2 then String.sub key 0 2 else "00"
 
 let entry_name ~ns ~key = Printf.sprintf "%s.%s.v%d" ns key format_version
 
 let entry_file dir ~ns ~key =
   Filename.concat (Filename.concat dir (shard_of key)) (entry_name ~ns ~key)
-
-let legacy_entry_file dir ~ns ~key = Filename.concat dir (entry_name ~ns ~key)
 
 (* An on-disk entry is: magic, namespace (length-prefixed), the MD5 of
    the payload, then the marshaled payload. Anything that fails to read
@@ -178,27 +173,9 @@ let disk_load t ~ns ~key =
   match t.dir_ with
   | None -> None
   | Some dir -> (
-    let sharded = entry_file dir ~ns ~key in
-    let legacy = legacy_entry_file dir ~ns ~key in
-    let file =
-      if Sys.file_exists sharded then Some sharded
-      else if Sys.file_exists legacy then begin
-        (* Found where a pre-shard version wrote it: adopt it into its
-           shard (atomic rename; best-effort) and read from wherever it
-           now is. *)
-        (try
-           mkdir_p (Filename.dirname sharded);
-           Sys.rename legacy sharded
-         with Sys_error _ -> ());
-        if Sys.file_exists sharded then Some sharded
-        else if Sys.file_exists legacy then Some legacy
-        else None
-      end
-      else None
-    in
-    match file with
-    | None -> None
-    | Some file ->
+    let file = entry_file dir ~ns ~key in
+    if not (Sys.file_exists file) then None
+    else
       let parse ic =
         let len = in_channel_length ic in
         let m = really_input_string ic (String.length magic) in
@@ -268,8 +245,10 @@ let is_entry_name name =
 
 let is_shard_name name = String.length name = 2 && is_hex name
 
-(* Every entry directory this cache format owns: the root (legacy flat
-   entries) plus each two-hex-digit shard subdirectory. *)
+(* Every directory an entry name can sit in: each two-hex-digit shard
+   subdirectory, plus the root, where versions before sharding wrote
+   flat entries — nothing reads those any more, but [disk_stats] still
+   shows them and [clear] deletes them. *)
 let entry_dirs dir =
   if not (Sys.file_exists dir) then []
   else
@@ -334,32 +313,6 @@ let disk_stats_by_ns t =
       (entry_dirs dir);
     Hashtbl.fold (fun ns stats acc -> (ns, stats) :: acc) tbl []
     |> List.sort compare
-
-(* Relocate legacy flat entries into their shard subdirectories (atomic
-   renames); returns how many moved. Safe to run concurrently with
-   readers — they look in both places. *)
-let migrate t =
-  match t.dir_ with
-  | None -> 0
-  | Some dir ->
-    if not (Sys.file_exists dir) then 0
-    else
-      Array.fold_left
-        (fun moved name ->
-          if not (is_entry_name name) then moved
-          else
-            match String.split_on_char '.' name with
-            | [ _ns; digest; _v ] -> (
-              let shard = Filename.concat dir (shard_of digest) in
-              (try mkdir_p shard with Sys_error _ -> ());
-              match
-                Sys.rename (Filename.concat dir name)
-                  (Filename.concat shard name)
-              with
-              | () -> moved + 1
-              | exception Sys_error _ -> moved)
-            | _ -> moved)
-        0 (Sys.readdir dir)
 
 let clear t =
   (match t.dir_ with

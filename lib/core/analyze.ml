@@ -14,14 +14,26 @@ let default_config =
 
 type t = {
   image : Isa.Asm.image;
-  tree : Gatesim.Trace.tree;
   sym_stats : Gatesim.Sym.stats;
-  flattened : Gatesim.Trace.cycle array;
   power_trace : float array;  (** per-cycle peak power bound, W *)
   peak_power : float;  (** W *)
   peak_index : int;
   peak_energy : Peak_energy.result;
+  load_tree : unit -> Gatesim.Trace.tree;
 }
+
+(* What the ["analysis"] namespace stores: the bounds and nothing the
+   tree can rebuild, so a hit reads kilobytes, not the tree. *)
+type bounds = {
+  b_sym_stats : Gatesim.Sym.stats;
+  b_power_trace : float array;
+  b_peak_power : float;
+  b_peak_index : int;
+  b_peak_energy : Peak_energy.result;
+}
+
+let tree t = t.load_tree ()
+let flattened t = Gatesim.Trace.flatten (tree t)
 
 (* Standard power-analysis context for a built CPU: 100 MHz, default
    library, memory-bus capacitance on the external bus pins. *)
@@ -42,9 +54,9 @@ let c_gates = Telemetry.Counter.make "engine.gates_total"
 
 (* The specialization depends only on the netlist and the reset
    protocol (not on the program image), so one result serves every
-   analysis over a CPU — memoized by netlist identity, exactly like the
-   digest memos in [Static.Blockchar]. A concurrent recompute from a
-   pool worker is harmless (last write wins, same result). *)
+   analysis over a CPU — memoized by netlist identity, like the digest
+   memos below. A concurrent recompute from a pool worker is harmless
+   (last write wins, same result). *)
 let spec_memo : (Netlist.t * Netlist.Specialize.t) option ref = ref None
 
 let specialization_for cpu =
@@ -93,14 +105,36 @@ let engine_for ?(specialize = true) cpu image ~symbolic =
    Algorithm 1 and additionally the power context for the Section
    3.2/3.3 computations, so results are content-addressed by digests of
    exactly those inputs plus [analysis_version] — bump the version
-   whenever analysis semantics change, and old entries become misses. *)
+   whenever analysis semantics or a stored type change, and old entries
+   become misses. *)
 
 (* 2: compiled gate-evaluation kernel — dedup digests switched from MD5
    serialization to incremental Zobrist hashes, so cached trees from
-   version 1 reference stale digest strings. *)
-let analysis_version = 2
+   version 1 reference stale digest strings.
+   3: "analysis" stores [bounds] instead of [t], "peak-power" stores the
+   trace without the flattened cycles, and "peak-energy" is gone. *)
+let analysis_version = 3
 
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+(* Digesting the elaborated netlist and the power model takes
+   milliseconds each, and both are invariant across the analyses of a
+   process (every block of a static analysis, every request of
+   `xbound serve`). Memoize the digest by physical identity; a
+   concurrent recompute is harmless (last write wins, same digest). *)
+let identity_memo (digest : 'a -> string) =
+  let last = ref None in
+  fun (v : 'a) ->
+    match !last with
+    | Some (v', d) when v' == v -> d
+    | _ ->
+      let d = digest v in
+      last := Some (v, d);
+      d
+
+let cpu_digest =
+  identity_memo (fun (cpu : Cpu.t) ->
+      Cache.Key.of_value (cpu.Cpu.netlist, cpu.Cpu.ports))
+
+let pa_digest = identity_memo (fun (pa : Poweran.t) -> Cache.Key.of_value pa)
 
 (* Tier-2 key: the execution tree does not depend on the power context
    or the loop bound, so reruns that only change those reuse it. *)
@@ -109,29 +143,49 @@ let tree_key ?(version = analysis_version) config cpu (image : Isa.Asm.image) =
     [
       "symtree";
       string_of_int version;
-      digest_of (cpu.Cpu.netlist, cpu.Cpu.ports);
-      digest_of image;
+      cpu_digest cpu;
+      Cache.Key.of_value image;
       string_of_int config.revisit_limit;
       string_of_int config.max_paths;
       string_of_int config.max_cycles_per_path;
     ]
 
-(* Tier-1 key: the whole analysis result. *)
-let cache_key ?(version = analysis_version) ~config pa cpu image =
+let analysis_key ~version ~config pa tkey =
   Cache.Key.combine
     [
       "analysis";
       string_of_int version;
-      tree_key ~version config cpu image;
-      digest_of pa;
+      tkey;
+      pa_digest pa;
       string_of_int config.loop_bound;
     ]
+
+(* Tier-1 key: the whole analysis result. *)
+let cache_key ?(version = analysis_version) ~config pa cpu image =
+  analysis_key ~version ~config pa (tree_key ~version config cpu image)
+
+let of_bounds image load_tree b =
+  {
+    image;
+    sym_stats = b.b_sym_stats;
+    power_trace = b.b_power_trace;
+    peak_power = b.b_peak_power;
+    peak_index = b.b_peak_index;
+    peak_energy = b.b_peak_energy;
+    load_tree;
+  }
 
 (* Symbolic analysis: Algorithm 1 then the Section 3.2/3.3
    computations. [pool] defaults to the ambient pool (see [Parallel]);
    results are bit-identical at any job count, and — because cached
    entries are Marshal round-trips of the same floats — also bit
    identical between cached and fresh runs.
+
+   With a cache, each namespace holds one thing: "symtree" the tree and
+   its stats, "peak-power" the trace and its peak, "analysis" the
+   bounds. A hit on "analysis" never reads the tree; [tree] fetches it
+   later through the same single-flight "symtree" memo, so it comes from
+   memory, from disk, or from a deterministic re-exploration.
 
    [specialize] (default on) only selects the engine's compiled program;
    trees, digests and bounds are bit-identical either way (the
@@ -140,8 +194,8 @@ let cache_key ?(version = analysis_version) ~config pa cpu image =
 let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
     (image : Isa.Asm.image) =
   Telemetry.span "analyze" @@ fun () ->
-  let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
   let explore () =
+    let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
     let e = engine_for ?specialize cpu image ~symbolic:true in
     let sym_config =
       {
@@ -155,41 +209,41 @@ let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
     in
     Gatesim.Sym.run ?pool e sym_config
   in
-  let compute ~tree_memo ~algo_cache () =
-    let tree, sym_stats =
-      Telemetry.span "explore" (fun () -> tree_memo explore)
-    in
-    let pp_result =
+  let compute ~symtree ~pp_cache =
+    let tree, sym_stats = Telemetry.span "explore" symtree in
+    let pp =
       Telemetry.span "peak-power" (fun () ->
-          Peak_power.of_tree ?cache:algo_cache pa tree)
+          Peak_power.of_tree ?cache:pp_cache pa tree)
     in
     let pe =
       Telemetry.span "peak-energy" (fun () ->
-          Peak_energy.of_tree ?cache:algo_cache pa tree
+          Peak_energy.of_tree ~trace:pp.Peak_power.trace pa tree
             ~loop_bound:config.loop_bound)
     in
-    {
-      image;
-      tree;
-      sym_stats;
-      flattened = pp_result.Peak_power.flattened;
-      power_trace = pp_result.Peak_power.trace;
-      peak_power = pp_result.Peak_power.peak;
-      peak_index = pp_result.Peak_power.peak_index;
-      peak_energy = pe;
-    }
+    ( tree,
+      {
+        b_sym_stats = sym_stats;
+        b_power_trace = pp.Peak_power.trace;
+        b_peak_power = pp.Peak_power.peak;
+        b_peak_index = pp.Peak_power.peak_index;
+        b_peak_energy = pe;
+      } )
   in
   match cache with
-  | None -> compute ~tree_memo:(fun f -> f ()) ~algo_cache:None ()
+  | None ->
+    let tree, b = compute ~symtree:explore ~pp_cache:None in
+    of_bounds image (fun () -> tree) b
   | Some c ->
     let tkey = tree_key config cpu image in
-    (* the peak power/energy memos hang off the tree + power context;
-       Peak_energy appends the loop bound itself *)
-    let pkey = Cache.Key.combine [ tkey; digest_of pa ] in
-    Cache.memo c ~ns:"analysis" ~key:(cache_key ~config pa cpu image)
-      (compute
-         ~tree_memo:(fun f -> Cache.memo c ~ns:"symtree" ~key:tkey f)
-         ~algo_cache:(Some (c, pkey)))
+    let symtree () = Cache.memo c ~ns:"symtree" ~key:tkey explore in
+    (* the peak-power trace hangs off the tree + power context *)
+    let pkey = Cache.Key.combine [ tkey; pa_digest pa ] in
+    let b =
+      Cache.memo c ~ns:"analysis"
+        ~key:(analysis_key ~version:analysis_version ~config pa tkey)
+        (fun () -> snd (compute ~symtree ~pp_cache:(Some (c, pkey))))
+    in
+    of_bounds image (fun () -> fst (symtree ())) b
 
 (* Symbolic execution of a program fragment: boot the machine with the
    reset vector pointed at [entry] and explore until [is_end]. Because
@@ -282,5 +336,5 @@ let run_concrete ?specialize pa cpu (image : Isa.Asm.image) ~inputs =
   (cycles, trace)
 
 let cois ?(top = 4) ?(min_gap = 5) pa t =
-  Coi.find ~image:t.image pa ~flattened:t.flattened ~trace:t.power_trace ~top
+  Coi.find ~image:t.image pa ~flattened:(flattened t) ~trace:t.power_trace ~top
     ~min_gap

@@ -12,16 +12,29 @@ type config = {
 
 val default_config : config
 
-type t = {
+(** An analysis: its bounds, plus a way to fetch the execution tree
+    (see {!tree}). Built only by {!run}. *)
+type t = private {
   image : Isa.Asm.image;
-  tree : Gatesim.Trace.tree;
   sym_stats : Gatesim.Sym.stats;
-  flattened : Gatesim.Trace.cycle array;
   power_trace : float array;  (** per-cycle peak power bound, W *)
   peak_power : float;  (** W — guaranteed for all inputs *)
   peak_index : int;
   peak_energy : Peak_energy.result;
+  load_tree : unit -> Gatesim.Trace.tree;  (** use {!tree} *)
 }
+
+(** The execution tree (Algorithm 1) behind an analysis. Without a
+    cache {!run} keeps it in memory. With one, it is fetched on every
+    call through the same single-flight ["symtree"] memo {!run} used:
+    from the memory LRU, from disk, or by re-exploring (deterministic,
+    so the tree is the same). Only reports that need cycles (COIs,
+    explain, validation) call it; bounds never do. *)
+val tree : t -> Gatesim.Trace.tree
+
+(** [Gatesim.Trace.flatten (tree t)]: the cycles {!power_trace} is
+    indexed by. *)
+val flattened : t -> Gatesim.Trace.cycle array
 
 (** Standard power-analysis context for a built CPU: 100 MHz, the
     default library, memory-bus capacitance on the external pins and
@@ -56,6 +69,14 @@ val folded_pred : Cpu.t -> int -> bool
 (** Version component of every cache key. *)
 val analysis_version : int
 
+(** Digest of a CPU's netlist and ports, memoized by the physical
+    identity of the [Cpu.t] (the last one seen), so a process that
+    analyzes many programs over one CPU digests it once. *)
+val cpu_digest : Cpu.t -> Cache.Key.t
+
+(** Digest of a power context, memoized the same way. *)
+val pa_digest : Poweran.t -> Cache.Key.t
+
 (** Tier-2 key: Algorithm 1's execution tree, which depends on the
     netlist/ports, the image and the exploration knobs — but not on the
     power context or [loop_bound], so those can change and still reuse
@@ -69,10 +90,13 @@ val cache_key :
 (** [run pa cpu image] — Algorithm 1 (symbolic execution) followed by
     the Section 3.2/3.3 computations. [pool] (default: the ambient
     {!Parallel.auto} pool) parallelizes the tree exploration; the result
-    is bit-identical at any job count. With [cache], the whole result,
-    the execution tree, and the per-algorithm computations are memoized
-    (memory LRU + optional disk) under the keys above; cached results
-    are bit-identical to fresh ones. *)
+    is bit-identical at any job count. With [cache], three namespaces
+    are memoized (memory LRU + optional disk): ["analysis"] holds the
+    bounds under {!cache_key}, ["symtree"] the execution tree and its
+    stats under {!tree_key}, and ["peak-power"] the power trace and its
+    peak under the tree key plus the power context. A hit on
+    ["analysis"] reads only the bounds; cached results are
+    bit-identical to fresh ones. *)
 val run :
   ?config:config ->
   ?pool:Parallel.Pool.t ->

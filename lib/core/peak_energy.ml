@@ -18,16 +18,60 @@ type result = {
 }
 
 exception Unbounded of string
-(** raised when [loop_bound = 0] would be exceeded *)
 
-let of_tree_fresh pa (tree : Gatesim.Trace.tree) ~loop_bound =
+(* Cycle records by physical identity. [Sym] builds a registered
+   continuation from the very cycle records of a root segment (and
+   Marshal keeps that sharing), so a record reached through the registry
+   is one the root walk priced. *)
+module Phys = Hashtbl.Make (struct
+  type t = Gatesim.Trace.cycle
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Segment costs, summed once. Each root segment is priced from its
+   slice of the power trace (which is in [Trace.flatten] order, the
+   order [iter_segments] visits). A registered continuation is a root
+   segment minus its first cycle ([Sym] stores it that way so the fork
+   cycle is not counted twice), so both sums are kept: the full segment
+   under its first cycle, the tail under its second. Both are the same
+   left fold the per-visit pricing did, so energies are bit-identical. *)
+let segment_costs pa tree trace =
   let period = Poweran.period pa in
-  let bounded = ref 0 in
-  let seg_cost cycles =
-    Array.fold_left
-      (fun (e, n) cy -> (e +. (Poweran.cycle_power_max pa cy *. period), n + 1))
-      (0., 0) cycles
+  let costs = Phys.create 1024 in
+  let off = ref 0 in
+  Gatesim.Trace.iter_segments tree (fun cycles ->
+      let n = Array.length cycles in
+      let sum from =
+        let e = ref 0. in
+        for k = !off + from to !off + n - 1 do
+          e := !e +. (trace.(k) *. period)
+        done;
+        (!e, n - from)
+      in
+      if n >= 1 then Phys.replace costs cycles.(0) (sum 0);
+      if n >= 2 then Phys.replace costs cycles.(1) (sum 1);
+      off := !off + n);
+  fun cycles ->
+    if Array.length cycles = 0 then (0., 0)
+    else
+      match Phys.find_opt costs cycles.(0) with
+      | Some c -> c
+      | None ->
+        (* a registry subtree the root does not reach *)
+        Array.fold_left
+          (fun (e, n) cy -> (e +. (Poweran.cycle_power_max pa cy *. period), n + 1))
+          (0., 0) cycles
+
+let of_tree ?trace pa (tree : Gatesim.Trace.tree) ~loop_bound =
+  let trace =
+    match trace with
+    | Some t -> t
+    | None -> Poweran.trace_power pa ~mode:`Max (Gatesim.Trace.flatten tree)
   in
+  let seg_cost = segment_costs pa tree trace in
+  let bounded = ref 0 in
   (* budgets: per-digest remaining unrolls along the current path *)
   let rec go node budgets =
     match node with
@@ -63,12 +107,3 @@ let of_tree_fresh pa (tree : Gatesim.Trace.tree) ~loop_bound =
     npe = (if cycles = 0 then 0. else energy /. float_of_int cycles);
     bounded_loops = !bounded;
   }
-
-let of_tree ?cache pa tree ~loop_bound =
-  match cache with
-  | None -> of_tree_fresh pa tree ~loop_bound
-  | Some (c, key) ->
-    (* the caller's key covers the tree and the power context; the loop
-       bound is this analysis's own knob *)
-    let key = Cache.Key.combine [ key; "loop_bound"; string_of_int loop_bound ] in
-    Cache.memo c ~ns:"peak-energy" ~key (fun () -> of_tree_fresh pa tree ~loop_bound)

@@ -21,13 +21,14 @@ type result = {
     looping state's digest. *)
 exception Unbounded of string
 
-(** [of_tree ?cache pa tree ~loop_bound] — with [cache = (c, key)],
-    the result is memoized in [c]; [key] must cover the tree's inputs
-    and the power context (see {!Analyze.cache_key}), and this module
-    appends [loop_bound] itself — so reruns that only change the loop
-    bound reuse the same execution tree. *)
+(** [of_tree ?trace pa tree ~loop_bound] — [trace] is the tree's
+    per-cycle peak power in {!Gatesim.Trace.flatten} order, i.e. the
+    {!Peak_power} trace. Pass it when you have it, so no cycle is priced
+    twice; without it the trace is computed here. Each straight-line
+    segment is summed once, however often the worst-path search
+    revisits it. *)
 val of_tree :
-  ?cache:Cache.t * Cache.Key.t ->
+  ?trace:float array ->
   Poweran.t ->
   Gatesim.Trace.tree ->
   loop_bound:int ->

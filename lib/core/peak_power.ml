@@ -19,13 +19,26 @@ let of_cycles pa cycles =
   let peak, peak_index = Poweran.peak_of trace in
   { flattened = cycles; trace; peak; peak_index }
 
+(* What the ["peak-power"] namespace stores: the trace and its peak.
+   The flattened cycles are rebuilt from the tree, which the caller
+   holds anyway and which the ["symtree"] namespace already stores. *)
+type priced = { p_trace : float array; p_peak : float; p_peak_index : int }
+
 let of_tree ?cache pa tree =
-  let compute () =
-    let cycles =
-      Telemetry.span "flatten" (fun () -> Gatesim.Trace.flatten tree)
-    in
-    Telemetry.span "power-trace" (fun () -> of_cycles pa cycles)
+  let cycles = Telemetry.span "flatten" (fun () -> Gatesim.Trace.flatten tree) in
+  let price () =
+    Telemetry.span "power-trace" @@ fun () ->
+    let r = of_cycles pa cycles in
+    { p_trace = r.trace; p_peak = r.peak; p_peak_index = r.peak_index }
   in
-  match cache with
-  | None -> compute ()
-  | Some (c, key) -> Cache.memo c ~ns:"peak-power" ~key compute
+  let p =
+    match cache with
+    | None -> price ()
+    | Some (c, key) -> Cache.memo c ~ns:"peak-power" ~key price
+  in
+  {
+    flattened = cycles;
+    trace = p.p_trace;
+    peak = p.p_peak;
+    peak_index = p.p_peak_index;
+  }

@@ -15,8 +15,9 @@ type result = {
 
 val of_cycles : Poweran.t -> Gatesim.Trace.cycle array -> result
 
-(** [of_tree ?cache pa tree] — with [cache = (c, key)], the result is
-    memoized in [c] under [key]; the caller must derive [key] from
-    everything the result depends on (the tree's inputs and the power
-    context — see {!Analyze.cache_key}). *)
+(** [of_tree ?cache pa tree] — with [cache = (c, key)], the trace and
+    its peak are memoized in [c] under [key] (the flattened cycles are
+    rebuilt from [tree], a copy of its segment arrays); the caller must
+    derive [key] from everything the result depends on (the tree's
+    inputs and the power context — see {!Analyze.cache_key}). *)
 val of_tree : ?cache:Cache.t * Cache.Key.t -> Poweran.t -> Gatesim.Trace.tree -> result

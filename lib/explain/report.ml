@@ -1,5 +1,5 @@
 (* Bound-provenance report: per-COI attribution + execution-tree
-   observability + telemetry deltas. See report.mli. *)
+   observability. See report.mli. *)
 
 type coi_report = {
   cycle_index : int;
@@ -40,8 +40,6 @@ type t = {
   npe_j_per_cycle : float;
   cois : coi_report list;
   tree : tree_obs;
-  phases : (string * float) list;
-  counters : (string * int) list;
 }
 
 let by_power_desc (_, a) (_, b) = Float.compare b a
@@ -61,18 +59,19 @@ let coi_of ?folded pa peak (c : Core.Coi.t) cycle =
         (Poweran.class_breakdown ?folded pa ~mode:`Max cycle);
   }
 
-let build ?(top = 4) ?(min_gap = 5) ?(phases = []) ?(counters = []) ?folded
-    ~name pa (a : Core.Analyze.t) =
+let build ?(top = 4) ?(min_gap = 5) ?folded ~name pa (a : Core.Analyze.t) =
   Telemetry.span "explain" @@ fun () ->
   let peak = a.Core.Analyze.peak_power in
+  let tree = Core.Analyze.tree a in
+  let flattened = Gatesim.Trace.flatten tree in
   let cois =
     List.map
       (fun (c : Core.Coi.t) ->
-        coi_of ?folded pa peak c
-          a.Core.Analyze.flattened.(c.Core.Coi.cycle_index))
-      (Core.Analyze.cois ~top ~min_gap pa a)
+        coi_of ?folded pa peak c flattened.(c.Core.Coi.cycle_index))
+      (Core.Coi.find ~image:a.Core.Analyze.image pa ~flattened
+         ~trace:a.Core.Analyze.power_trace ~top ~min_gap)
   in
-  let ts = Core.Treestat.compute a.Core.Analyze.tree in
+  let ts = Core.Treestat.compute tree in
   let mean, mx = Core.Treestat.density_stats ts in
   let st = a.Core.Analyze.sym_stats in
   let at_peak =
@@ -108,8 +107,6 @@ let build ?(top = 4) ?(min_gap = 5) ?(phases = []) ?(counters = []) ?folded
         x_density_max = mx;
         x_density_at_peak = at_peak;
       };
-    phases;
-    counters;
   }
 
 let top_modules ?(n = 3) c =
@@ -167,16 +164,6 @@ let to_table t =
                  (fun (k, p) -> Printf.sprintf "%s %.4f mW" k (mw p))
                  c.classes))))
     t.cois;
-  if t.phases <> [] then begin
-    pf "\nphases (s):";
-    List.iter (fun (p, s) -> pf " %s=%.4f" p s) t.phases;
-    pf "\n"
-  end;
-  if t.counters <> [] then begin
-    pf "counters:";
-    List.iter (fun (c, v) -> pf " %s=%d" c v) t.counters;
-    pf "\n"
-  end;
   Buffer.contents b
 
 (* ---------------- JSON ---------------- *)
@@ -240,12 +227,12 @@ let to_json t =
                 (Array.to_list
                    (Array.map (fun d -> Ejson.Num d) t.tree.x_density)) );
           ] );
-      ( "phases_s",
-        Ejson.Obj (List.map (fun (p, s) -> (p, Ejson.Num s)) t.phases) );
-      ( "counters",
-        Ejson.Obj
-          (List.map (fun (c, v) -> (c, Ejson.Num (float_of_int v))) t.counters)
-      );
+      (* Always empty: a report carries no telemetry of the process
+         that built it, so the daemon and the CLI render the same
+         bytes (timings come from --stats or the daemon's Stats). The
+         keys stay so the layout is stable for readers of this JSON. *)
+      ("phases_s", Ejson.Obj []);
+      ("counters", Ejson.Obj []);
     ]
 
 let to_json_string t = Ejson.to_string ~indent:2 (to_json t)

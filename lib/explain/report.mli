@@ -10,8 +10,12 @@
       exactly, to that cycle's bounded power), the gate-class split, and
       the executing/fetching instructions;
     - execution-tree observability: per-cycle X-density, fork/merge
-      counts and seen-set statistics from Algorithm 1 ({!Core.Treestat});
-    - the analysis phase timings / counter deltas when telemetry was on.
+      counts and seen-set statistics from Algorithm 1 ({!Core.Treestat}).
+
+    The report depends only on the analysis, never on the telemetry of
+    the process that built it, so the CLI and the daemon render the
+    same bytes; phase timings come from [--stats] or the daemon's
+    [Stats].
 
     Exporters: a human-readable table, JSON (everything, including the
     density series), and CSV (the per-COI module attribution rows). *)
@@ -55,14 +59,12 @@ type t = {
   npe_j_per_cycle : float;
   cois : coi_report list;
   tree : tree_obs;
-  phases : (string * float) list;  (** [[]] when telemetry was off *)
-  counters : (string * int) list;
 }
 
 (** [build ~name pa analysis] — assemble the report. [top]/[min_gap]
     select the cycles of interest as in {!Core.Analyze.cois} (default
-    4 / 5); [phases]/[counters] attach the per-call telemetry deltas
-    when the caller has them. [folded] (typically
+    4 / 5). The execution tree is fetched once ({!Core.Analyze.tree}).
+    [folded] (typically
     {!Core.Analyze.folded_pred}) relabels proven-constant gates into a
     ["constant"] class in each COI's class split — sums are unchanged;
     pass it regardless of the engine's specialization mode so reports
@@ -70,8 +72,6 @@ type t = {
 val build :
   ?top:int ->
   ?min_gap:int ->
-  ?phases:(string * float) list ->
-  ?counters:(string * int) list ->
   ?folded:(int -> bool) ->
   name:string ->
   Poweran.t ->

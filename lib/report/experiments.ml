@@ -59,7 +59,7 @@ let fig_1_5 ctx =
   (* active gates at each application's peak cycle, per module *)
   let row b =
     let a = Context.analysis ctx b in
-    let cy = a.Core.Analyze.flattened.(a.Core.Analyze.peak_index) in
+    let cy = (Core.Analyze.flattened a).(a.Core.Analyze.peak_index) in
     let nl = ctx.Context.cpu.Cpu.netlist in
     let tbl = Hashtbl.create 8 in
     let bump net =
@@ -256,7 +256,7 @@ let fig_3_4 ctx =
       Core.Analyze.run_concrete ctx.Context.pa ctx.Context.cpu img
         ~inputs:[ (Benchprogs.Bench.input_base, inputs) ]
     in
-    let sets = Core.Validate.compare_toggles ~tree:a.Core.Analyze.tree ~concrete in
+    let sets = Core.Validate.compare_toggles ~tree:(Core.Analyze.tree a) ~concrete in
     let by_mod = Core.Validate.by_module nl in
     let common = by_mod sets.Core.Validate.common in
     let xonly = by_mod sets.Core.Validate.sym_only in
@@ -291,7 +291,7 @@ let fig_3_5 ctx =
     Core.Analyze.run_concrete ctx.Context.pa ctx.Context.cpu img
       ~inputs:[ (Benchprogs.Bench.input_base, b.Benchprogs.Bench.gen_inputs ~seed:8) ]
   in
-  match Core.Validate.check_bound ctx.Context.pa ~tree:a.Core.Analyze.tree ~concrete with
+  match Core.Validate.check_bound ctx.Context.pa ~tree:(Core.Analyze.tree a) ~concrete with
   | None -> "fig-3.5: no matching path found (unexpected)\n"
   | Some chk ->
     Render.heading "Figure 3.5: the X-based trace bounds every input-based trace (mult)"
@@ -607,7 +607,7 @@ let extra_multiprog ctx =
   let a2 = Context.analysis ctx (Benchprogs.Bench.find "tea8") in
   let union =
     Core.Multiprog.union_peak_bound ctx.Context.pa
-      [ a1.Core.Analyze.tree; a2.Core.Analyze.tree ]
+      [ Core.Analyze.tree a1; Core.Analyze.tree a2 ]
   in
   let isr =
     Core.Multiprog.combine_isr ~main:a1 ~isr:a2 ~max_invocations:4

@@ -470,8 +470,7 @@ let explain ?ctx ?(top = 4) ?(min_gap = 5) a =
     (* [folded] is passed regardless of [ctx.specialize] — the class
        labeling comes from the netlist analysis, not the engine mode, so
        reports are byte-identical with specialization on or off. *)
-    Explain.Report.build ~top ~min_gap ~phases:a.phase_timings
-      ~counters:a.counter_deltas
+    Explain.Report.build ~top ~min_gap
       ~folded:(Core.Analyze.folded_pred cpu)
       ~name:(name a.program) pa raw
 

@@ -256,8 +256,11 @@ type explanation = Explain.Report.t
 
 (** [explain analysis] — assemble the provenance report for an already
     computed exact-tier analysis. [top]/[min_gap] select the COIs as in
-    {!cois}; the analysis's own [phase_timings]/[counter_deltas] are
-    attached. Pure over the analysis — no re-exploration.
+    {!cois}. The report depends only on the analysis (no telemetry of
+    the calling process), so it is the same in the CLI and the daemon.
+    It fetches the execution tree through {!Core.Analyze.tree}: from
+    the cache when the analysis was cached, re-exploring
+    deterministically if the tree entry is gone.
 
     @raise Invalid_argument on a static-tier analysis — its provenance
     is the per-block table in {!static_detail} (see

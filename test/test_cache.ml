@@ -1,6 +1,7 @@
 (* Tests for the content-addressed analysis cache: key discipline
    (binary / config / version perturbation), corruption tolerance,
    single-flight under the domain pool, cached-vs-fresh determinism,
+   the namespace layout (the tree stored once, read only on demand),
    and LRU eviction. *)
 
 let tmpdir () =
@@ -130,7 +131,7 @@ let test_determinism_and_incremental () =
   let cold = Core.Analyze.run ~config ~cache:c1 pa cpu img in
   Alcotest.(check string)
     "cold = fresh" (result_digest fresh) (result_digest cold);
-  Alcotest.(check int) "cold run misses all tiers" 4 (Cache.counters c1).Cache.misses;
+  Alcotest.(check int) "cold run misses all tiers" 3 (Cache.counters c1).Cache.misses;
   (* warm, new Cache.t on the same directory = fresh process: whole
      result served from disk, bit-identical *)
   let c2 = Cache.create ~dir () in
@@ -140,7 +141,7 @@ let test_determinism_and_incremental () =
   Alcotest.(check int) "warm is one disk hit" 1 (Cache.counters c2).Cache.disk_hits;
   Alcotest.(check int) "warm recomputes nothing" 0 (Cache.counters c2).Cache.misses;
   (* changing loop_bound (an Algorithm 2 knob) must reuse the stored
-     exploration tree and peak-power artifacts, recompute the rest *)
+     exploration tree and peak-power trace, and recompute the bounds *)
   let config' = { config with Core.Analyze.loop_bound = 8 } in
   let c3 = Cache.create ~dir () in
   let warm' = Core.Analyze.run ~config:config' ~cache:c3 pa cpu img in
@@ -149,10 +150,95 @@ let test_determinism_and_incremental () =
     "incremental = fresh" (result_digest fresh') (result_digest warm');
   let ct = Cache.counters c3 in
   Alcotest.(check int) "tree + peak power reused from disk" 2 ct.Cache.disk_hits;
-  Alcotest.(check int) "analysis + peak energy recomputed" 2 ct.Cache.misses;
+  Alcotest.(check int) "analysis recomputed" 1 ct.Cache.misses;
   (* clear removes every entry *)
   Cache.clear c3;
   Alcotest.(check (pair int int)) "cleared" (0, 0) (Cache.disk_stats c3);
+  rm_rf dir
+
+(* ---------------- the tree lives once, under symtree ---------------- *)
+
+let tree_digest (tree : Gatesim.Trace.tree) =
+  Digest.to_hex (Digest.string (Marshal.to_string tree []))
+
+let test_layout () =
+  let cpu, pa = Lazy.force env in
+  let img = image 25 in
+  let dir = tmpdir () in
+  ignore (Core.Analyze.run ~config ~cache:(Cache.create ~dir ()) pa cpu img);
+  let rows = Cache.disk_stats_by_ns (Cache.create ~dir ()) in
+  Alcotest.(check (list string))
+    "one entry per namespace, no peak-energy"
+    [ "analysis"; "peak-power"; "symtree" ]
+    (List.map fst rows);
+  let bytes ns = snd (List.assoc ns rows) in
+  let total = List.fold_left (fun acc (_, (_, b)) -> acc + b) 0 rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "symtree holds >= 95%% of the bytes (%d of %d)"
+       (bytes "symtree") total)
+    true
+    (float_of_int (bytes "symtree") >= 0.95 *. float_of_int total);
+  rm_rf dir
+
+let test_tree_on_demand () =
+  let cpu, pa = Lazy.force env in
+  let img = image 25 in
+  let dir = tmpdir () in
+  let fresh = Core.Analyze.run ~config pa cpu img in
+  let fresh_tree = tree_digest (Core.Analyze.tree fresh) in
+  ignore (Core.Analyze.run ~config ~cache:(Cache.create ~dir ()) pa cpu img);
+  (* a warm process reads the bounds alone *)
+  let c = Cache.create ~dir () in
+  let warm = Core.Analyze.run ~config ~cache:c pa cpu img in
+  Alcotest.(check string)
+    "warm bounds = fresh" (result_digest fresh) (result_digest warm);
+  Alcotest.(check int) "warm is one disk hit" 1 (Cache.counters c).Cache.disk_hits;
+  Alcotest.(check int) "warm misses nothing" 0 (Cache.counters c).Cache.misses;
+  (* the tree is read only when asked for *)
+  Alcotest.(check string)
+    "loaded tree = fresh tree" fresh_tree
+    (tree_digest (Core.Analyze.tree warm));
+  Alcotest.(check int) "tree is the second disk hit" 2
+    (Cache.counters c).Cache.disk_hits;
+  Alcotest.(check int) "still no miss" 0 (Cache.counters c).Cache.misses;
+  (* with the symtree entry gone, the accessor re-explores the same tree *)
+  List.iter
+    (fun f ->
+      if String.starts_with ~prefix:"symtree." (Filename.basename f) then
+        Sys.remove f)
+    (entry_files dir);
+  let c' = Cache.create ~dir () in
+  let warm' = Core.Analyze.run ~config ~cache:c' pa cpu img in
+  Alcotest.(check string)
+    "re-explored tree = fresh tree" fresh_tree
+    (tree_digest (Core.Analyze.tree warm'));
+  Alcotest.(check int) "re-exploration is the one miss" 1
+    (Cache.counters c').Cache.misses;
+  rm_rf dir
+
+(* Explain needs the cycles: on a small memory layer the tree has left
+   memory by the time the report asks for it, and comes back from
+   disk. *)
+let test_explain_reloads_tree () =
+  let prog = Xbound.of_image ~name:"cachetest" ~loop_bound:4 ~max_paths:64 (image 25) in
+  let report ctx =
+    match Xbound.analyze ~ctx prog with
+    | Error e -> Alcotest.fail (Xbound.Error.to_string e)
+    | Ok a -> Xbound.explain ~ctx a
+  in
+  let fresh = report (Xbound.Ctx.create ()) in
+  let dir = tmpdir () in
+  let cache = Cache.create ~dir ~mem_entries:2 () in
+  let cached = report (Xbound.Ctx.create ~cache ()) in
+  let ct = Cache.counters cache in
+  Alcotest.(check bool) "symtree evicted from memory" true (ct.Cache.evictions >= 1);
+  Alcotest.(check int) "tree reloaded from disk" 1 ct.Cache.disk_hits;
+  Alcotest.(check int) "nothing re-explored" 3 ct.Cache.misses;
+  Alcotest.(check string) "table = fresh"
+    (Explain.Report.to_table fresh) (Explain.Report.to_table cached);
+  Alcotest.(check string) "json = fresh"
+    (Explain.Report.to_json_string fresh)
+    (Explain.Report.to_json_string cached);
   rm_rf dir
 
 (* ---------------- corruption tolerance ---------------- *)
@@ -182,6 +268,28 @@ let test_corrupted_entry_is_a_miss () =
   Alcotest.(check (list int)) "repaired" [ 9 ]
     (Cache.memo c3 ~ns:"t" ~key:k (fun () -> [ 0 ]));
   Cache.clear c3;
+  rm_rf dir
+
+(* Entries live only in their shard. A flat entry in the root, where
+   versions before sharding wrote them, is never read, but stats count
+   it and clear deletes it. *)
+let test_flat_entries_not_read () =
+  let dir = tmpdir () in
+  let k = Cache.Key.of_string "flat" in
+  let c1 = Cache.create ~dir () in
+  ignore (Cache.memo c1 ~ns:"t" ~key:k (fun () -> 1));
+  let sharded = List.hd (entry_files dir) in
+  let flat = Filename.concat dir (Filename.basename sharded) in
+  Sys.rename sharded flat;
+  let c2 = Cache.create ~dir () in
+  Alcotest.(check (pair int bool)) "stats count the flat entry" (1, true)
+    (let n, bytes = Cache.disk_stats c2 in (n, bytes > 0));
+  Alcotest.(check int) "a flat entry is a miss" 2
+    (Cache.memo c2 ~ns:"t" ~key:k (fun () -> 2));
+  Alcotest.(check bool) "and stays where it was" true (Sys.file_exists flat);
+  Cache.clear c2;
+  Alcotest.(check (pair int int)) "clear removes both" (0, 0) (Cache.disk_stats c2);
+  Alcotest.(check bool) "flat file deleted" false (Sys.file_exists flat);
   rm_rf dir
 
 (* ---------------- single-flight under the domain pool ---------------- *)
@@ -243,7 +351,13 @@ let () =
         [
           Alcotest.test_case "determinism + incremental" `Slow
             test_determinism_and_incremental;
+          Alcotest.test_case "namespace layout" `Quick test_layout;
+          Alcotest.test_case "tree on demand" `Quick test_tree_on_demand;
+          Alcotest.test_case "explain reloads an evicted tree" `Quick
+            test_explain_reloads_tree;
           Alcotest.test_case "corruption" `Quick test_corrupted_entry_is_a_miss;
+          Alcotest.test_case "flat entries are not read" `Quick
+            test_flat_entries_not_read;
         ] );
       ( "concurrency",
         [ Alcotest.test_case "single-flight" `Quick test_single_flight ] );

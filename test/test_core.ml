@@ -52,7 +52,7 @@ let test_bound_dominates_concrete () =
         true
         (a.Core.Analyze.peak_power >= cpk -. 1e-15);
       match
-        Core.Validate.check_bound (Lazy.force pa) ~tree:a.Core.Analyze.tree
+        Core.Validate.check_bound (Lazy.force pa) ~tree:(Core.Analyze.tree a)
           ~concrete
       with
       | None -> Alcotest.fail "no matching path for concrete run"
@@ -70,7 +70,7 @@ let test_superset () =
       ~inputs:[ (input_addr, [ 99 ]) ]
   in
   let sets =
-    Core.Validate.compare_toggles ~tree:a.Core.Analyze.tree ~concrete
+    Core.Validate.compare_toggles ~tree:(Core.Analyze.tree a) ~concrete
   in
   Alcotest.(check int) "no concrete-only nets" 0
     (List.length sets.Core.Validate.concrete_only);
@@ -288,6 +288,95 @@ let test_opt3_inserts_nop () =
   Alcotest.(check bool) "peak reduced" true
     (a1.Core.Analyze.peak_power < a0.Core.Analyze.peak_power)
 
+(* The definition of Section 3.3 pricing, written out: every visit of
+   a segment re-prices its cycles. [Peak_energy.of_tree] sums each
+   segment once (from the power trace, keeping a separate sum for a
+   registered continuation, which drops the fork cycle); it must agree
+   with this bit for bit. *)
+let peak_energy_by_definition pa (tree : Gatesim.Trace.tree) ~loop_bound =
+  let module SMap = Map.Make (String) in
+  let period = Poweran.period pa in
+  let bounded = ref 0 in
+  let seg cycles =
+    Array.fold_left
+      (fun (e, n) cy -> (e +. (Poweran.cycle_power_max pa cy *. period), n + 1))
+      (0., 0) cycles
+  in
+  let rec go node budgets =
+    match node with
+    | Gatesim.Trace.Run { cycles; next } ->
+      let e, n = seg cycles in
+      let e', n' = go next budgets in
+      (e +. e', n + n')
+    | Gatesim.Trace.Fork { not_taken; taken } ->
+      let e0, n0 = go not_taken budgets in
+      let e1, n1 = go taken budgets in
+      if e1 > e0 then (e1, n1) else (e0, n0)
+    | Gatesim.Trace.End_path -> (0., 0)
+    | Gatesim.Trace.Seen d -> (
+      let remaining =
+        Option.value (SMap.find_opt d budgets) ~default:loop_bound
+      in
+      if remaining <= 0 then (incr bounded; (0., 0))
+      else
+        match Hashtbl.find_opt tree.Gatesim.Trace.registry d with
+        | None -> (0., 0)
+        | Some r -> go !r (SMap.add d (remaining - 1) budgets))
+  in
+  let e, n = go tree.Gatesim.Trace.root SMap.empty in
+  (e, n, !bounded)
+
+(* Every kernel whose tree has Seen edges, plus the polling loop (a
+   Seen edge back into its own registered continuation). *)
+let test_peak_energy_segment_sums () =
+  let pa = Lazy.force pa in
+  let poll =
+    Tsupport.assemble_body
+      (Tsupport.prologue
+      @ [
+          Asm.Label "poll";
+          i (Insn.I1 (Insn.MOV, Insn.S_abs (Insn.Lit input_addr), Insn.D_reg 4));
+          i (Insn.I1 (Insn.AND, Insn.S_imm (Insn.Lit 1), Insn.D_reg 4));
+          i (Insn.J (Insn.JNE, Insn.Sym "poll"));
+        ])
+  in
+  let programs =
+    ("poll", poll, Core.Analyze.default_config)
+    :: List.map
+         (fun name ->
+           let b =
+             List.find
+               (fun b -> b.Benchprogs.Bench.name = name)
+               (Benchprogs.Bench.all @ Benchprogs.Extended.all)
+           in
+           ( name,
+             Benchprogs.Bench.assemble b,
+             {
+               Core.Analyze.default_config with
+               Core.Analyze.loop_bound = b.Benchprogs.Bench.loop_bound;
+               max_paths = b.Benchprogs.Bench.max_paths;
+             } ))
+         [ "tHold"; "inSort"; "rle"; "Viterbi"; "median3"; "sad4" ]
+  in
+  List.iter
+    (fun (name, img, config) ->
+      let a = Core.Analyze.run ~config pa cpu img in
+      let tree = Core.Analyze.tree a in
+      let loop_bound = config.Core.Analyze.loop_bound in
+      let expected = peak_energy_by_definition pa tree ~loop_bound in
+      let got (r : Core.Peak_energy.result) =
+        (r.Core.Peak_energy.energy, r.cycles, r.bounded_loops)
+      in
+      let same what r =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s = definition" name what)
+          true
+          (got r = expected)
+      in
+      same "analysis" a.Core.Analyze.peak_energy;
+      same "without a trace" (Core.Peak_energy.of_tree pa tree ~loop_bound))
+    programs
+
 let test_design_tool_above_xbased () =
   let _, a = analyze branch_program in
   let dt =
@@ -380,6 +469,8 @@ let () =
         [
           Alcotest.test_case "straight line" `Quick test_peak_energy_straightline;
           Alcotest.test_case "fork takes max" `Quick test_peak_energy_fork_takes_max;
+          Alcotest.test_case "segment sums = definition" `Quick
+            test_peak_energy_segment_sums;
         ] );
       ( "evenodd",
         [

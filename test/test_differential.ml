@@ -717,8 +717,8 @@ let test_spec_bench_identity () =
         on.Core.Analyze.sym_stats.Gatesim.Sym.dedup_hits;
       Alcotest.(check string)
         (name ^ ": tree digest")
-        (tree_digest off.Core.Analyze.tree)
-        (tree_digest on.Core.Analyze.tree);
+        (tree_digest (Core.Analyze.tree off))
+        (tree_digest (Core.Analyze.tree on));
       Alcotest.(check (float 0.0))
         (name ^ ": peak power bound")
         off.Core.Analyze.peak_power on.Core.Analyze.peak_power;
@@ -752,8 +752,8 @@ let test_spec_class_sums () =
   let on = run_bench ~specialize:true b in
   let off = run_bench ~specialize:false b in
   let folded = Core.Analyze.folded_pred cpu in
-  let cy_on = on.Core.Analyze.flattened.(on.Core.Analyze.peak_index) in
-  let cy_off = off.Core.Analyze.flattened.(off.Core.Analyze.peak_index) in
+  let cy_on = (Core.Analyze.flattened on).(on.Core.Analyze.peak_index) in
+  let cy_off = (Core.Analyze.flattened off).(off.Core.Analyze.peak_index) in
   let bd_on = Poweran.class_breakdown ~folded pa ~mode:`Max cy_on in
   let bd_off = Poweran.class_breakdown ~folded pa ~mode:`Max cy_off in
   Alcotest.(check (list (pair string (float 0.0))))

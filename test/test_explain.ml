@@ -100,7 +100,7 @@ let test_treestat_invariants () =
     | Some raw -> raw
     | None -> Alcotest.fail "expected an exact-tier analysis"
   in
-  let ts = Core.Treestat.compute raw.Core.Analyze.tree in
+  let ts = Core.Treestat.compute (Core.Analyze.tree raw) in
   let st = raw.Core.Analyze.sym_stats in
   Alcotest.(check int) "fork nodes = exploration forks"
     st.Gatesim.Sym.forks ts.Core.Treestat.fork_nodes;
@@ -115,7 +115,7 @@ let test_treestat_invariants () =
     ts.Core.Treestat.cycles
     (Array.length ts.Core.Treestat.x_density);
   Alcotest.(check int) "density aligns with the flattened trace"
-    (Array.length raw.Core.Analyze.flattened)
+    (Array.length (Core.Analyze.flattened raw))
     (Array.length ts.Core.Treestat.x_density);
   Alcotest.(check bool) "max path bounded by total" true
     (ts.Core.Treestat.max_path_cycles <= ts.Core.Treestat.cycles);

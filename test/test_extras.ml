@@ -124,7 +124,7 @@ let test_multiprog_union_dominates () =
   let a2 = analyze_bench "tea8" in
   let u =
     Core.Multiprog.union_peak_bound (Lazy.force pa)
-      [ a1.Core.Analyze.tree; a2.Core.Analyze.tree ]
+      [ Core.Analyze.tree a1; Core.Analyze.tree a2 ]
   in
   Alcotest.(check bool) "union >= each peak" true
     (u >= a1.Core.Analyze.peak_power -. 1e-12

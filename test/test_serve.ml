@@ -525,7 +525,7 @@ let test_serve_oversized_closes () =
 
 (* Two clients ask the identical question concurrently: the shared
    cache's single-flight table must compute it once. One analysis is
-   several memo calls (analysis, symtree, peak-power, peak-energy), so
+   several memo calls (analysis, symtree, peak-power), so
    "computed once" means the concurrent pair produces exactly as many
    misses as one solo analysis — not twice as many. *)
 let test_serve_single_flight () =
@@ -663,6 +663,38 @@ let test_serve_byte_identical () =
     (fun r expected ->
       match Serve.Client.rpc c r with
       | Ok resp -> checks "byte-identical" expected (Serve.Render.to_string resp)
+      | Error e -> Alcotest.fail (Xbound.Error.to_string e))
+    requests local
+
+(* Exact-tier explain tables and JSON used to carry the producing
+   process's telemetry, and the daemon always has a sink while an
+   in-process run here has none: the same report rendered differently.
+   The report no longer depends on telemetry, so the daemon's answer
+   and the in-process render are the same bytes. *)
+let test_serve_explain_byte_identical () =
+  let ctx = Xbound.Ctx.create ~cache:(Cache.create ()) ~jobs:2 () in
+  let requests =
+    List.map
+      (fun fmt ->
+        Wire.Request.Explain
+          { bench = "tea8"; fmt; top = 4; min_gap = 5; tier = Xbound.Tier.Exact })
+      [ Wire.Request.Table; Wire.Request.Json ]
+  in
+  let local =
+    List.map
+      (fun r ->
+        match Serve.Exec.exec ~ctx r with
+        | Ok resp -> Serve.Render.to_string resp
+        | Error e -> Alcotest.fail (Xbound.Error.to_string e))
+      requests
+  in
+  with_server ~ctx @@ fun addr ->
+  with_client addr @@ fun c ->
+  List.iter2
+    (fun r expected ->
+      match Serve.Client.rpc c r with
+      | Ok resp ->
+        checks "explain byte-identical" expected (Serve.Render.to_string resp)
       | Error e -> Alcotest.fail (Xbound.Error.to_string e))
     requests local
 
@@ -990,68 +1022,6 @@ let test_serve_observability_byte_identical () =
         (String.length body > 0 && body.[0] = '{'))
     traces
 
-(* ---------------- cache sharding / migration ---------------- *)
-
-let temp_dir () =
-  let d = Filename.temp_file "xbound-test-shard" "" in
-  Sys.remove d;
-  d
-
-let test_cache_migrate () =
-  let dir = temp_dir () in
-  let cache = Cache.create ~dir () in
-  let keys =
-    List.init 8 (fun i -> Cache.Key.of_string (Printf.sprintf "entry-%d" i))
-  in
-  List.iter
-    (fun key -> ignore (Cache.memo cache ~ns:"t" ~key (fun () -> key)))
-    keys;
-  let entries, _ = Cache.disk_stats cache in
-  checki "stored sharded" 8 entries;
-  (* Flatten everything back into the legacy layout by hand. *)
-  Array.iter
-    (fun shard ->
-      let sdir = Filename.concat dir shard in
-      if Sys.file_exists sdir && Sys.is_directory sdir then begin
-        Array.iter
-          (fun f ->
-            Sys.rename (Filename.concat sdir f) (Filename.concat dir f))
-          (Sys.readdir sdir);
-        Sys.rmdir sdir
-      end)
-    (Sys.readdir dir);
-  let flat = Cache.create ~dir () in
-  let entries, _ = Cache.disk_stats flat in
-  checki "flat entries still counted" 8 entries;
-  (* A fresh cache finds (and adopts) a legacy flat entry on load. *)
-  let hit =
-    Cache.memo flat ~ns:"t" ~key:(List.hd keys) (fun () ->
-        Alcotest.fail "legacy entry not found")
-  in
-  checks "adopted value" (List.hd keys) hit;
-  (* Bulk migration moves the rest; nothing is lost. *)
-  let moved = Cache.migrate flat in
-  checki "migrated the remaining flat entries" 7 moved;
-  checkb "no flat entries left" true
-    (Array.for_all
-       (fun f -> Sys.is_directory (Filename.concat dir f))
-       (Sys.readdir dir));
-  let entries, _ = Cache.disk_stats flat in
-  checki "all entries after migrate" 8 entries;
-  let again = Cache.create ~dir () in
-  List.iter
-    (fun key ->
-      let v =
-        Cache.memo again ~ns:"t" ~key (fun () ->
-            Alcotest.fail "entry lost by migration")
-      in
-      checks "value after migration" key v)
-    keys;
-  checki "second migrate is a no-op" 0 (Cache.migrate again);
-  Cache.clear again;
-  (try Sys.rmdir dir with Sys_error _ -> ());
-  check Alcotest.bool "dir removed" false (Sys.file_exists dir)
-
 let () =
   Alcotest.run "serve"
     [
@@ -1079,6 +1049,8 @@ let () =
           Alcotest.test_case "single flight" `Quick test_serve_single_flight;
           Alcotest.test_case "admission reject" `Quick test_serve_admission_reject;
           Alcotest.test_case "byte identical" `Quick test_serve_byte_identical;
+          Alcotest.test_case "explain byte identical" `Quick
+            test_serve_explain_byte_identical;
         ] );
       ( "observability",
         [
@@ -1094,6 +1066,4 @@ let () =
           Alcotest.test_case "byte identical under observability" `Quick
             test_serve_observability_byte_identical;
         ] );
-      ( "cache",
-        [ Alcotest.test_case "shard migrate" `Quick test_cache_migrate ] );
     ]
