@@ -136,33 +136,54 @@ let cpu_digest =
 
 let pa_digest = identity_memo (fun (pa : Poweran.t) -> Cache.Key.of_value pa)
 
+let build_standard () =
+  let cpu = Cpu.build () in
+  (cpu, poweran_for cpu)
+
+(* Keys need only the two digests; the gates are needed only by the
+   computations behind a miss. Separating the two lets a caller that
+   knows the digests ahead of time (the facade bakes them at build
+   time) answer a cache hit without elaborating anything. *)
+type model = {
+  cpu_digest : unit -> Cache.Key.t;
+  pa_digest : unit -> Cache.Key.t;
+  elaborate : unit -> Cpu.t * Poweran.t;
+}
+
+let model pa cpu =
+  {
+    cpu_digest = (fun () -> cpu_digest cpu);
+    pa_digest = (fun () -> pa_digest pa);
+    elaborate = (fun () -> (cpu, pa));
+  }
+
 (* Tier-2 key: the execution tree does not depend on the power context
    or the loop bound, so reruns that only change those reuse it. *)
-let tree_key ?(version = analysis_version) config cpu (image : Isa.Asm.image) =
+let tree_key ?(version = analysis_version) config m (image : Isa.Asm.image) =
   Cache.Key.combine
     [
       "symtree";
       string_of_int version;
-      cpu_digest cpu;
+      m.cpu_digest ();
       Cache.Key.of_value image;
       string_of_int config.revisit_limit;
       string_of_int config.max_paths;
       string_of_int config.max_cycles_per_path;
     ]
 
-let analysis_key ~version ~config pa tkey =
+let analysis_key ~version ~config m tkey =
   Cache.Key.combine
     [
       "analysis";
       string_of_int version;
       tkey;
-      pa_digest pa;
+      m.pa_digest ();
       string_of_int config.loop_bound;
     ]
 
 (* Tier-1 key: the whole analysis result. *)
-let cache_key ?(version = analysis_version) ~config pa cpu image =
-  analysis_key ~version ~config pa (tree_key ~version config cpu image)
+let cache_key ?(version = analysis_version) ~config m image =
+  analysis_key ~version ~config m (tree_key ~version config m image)
 
 let of_bounds image load_tree b =
   {
@@ -185,16 +206,19 @@ let of_bounds image load_tree b =
    its stats, "peak-power" the trace and its peak, "analysis" the
    bounds. A hit on "analysis" never reads the tree; [tree] fetches it
    later through the same single-flight "symtree" memo, so it comes from
-   memory, from disk, or from a deterministic re-exploration.
+   memory, from disk, or from a deterministic re-exploration. The model
+   is elaborated only inside those computations, so a hit needs only
+   its digests.
 
    [specialize] (default on) only selects the engine's compiled program;
    trees, digests and bounds are bit-identical either way (the
    differential suite enforces it), so it deliberately does NOT enter
    the cache keys — cached entries are shared across modes. *)
-let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
+let run_model ?(config = default_config) ?pool ?cache ?specialize m
     (image : Isa.Asm.image) =
   Telemetry.span "analyze" @@ fun () ->
   let explore () =
+    let cpu, _ = m.elaborate () in
     let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
     let e = engine_for ?specialize cpu image ~symbolic:true in
     let sym_config =
@@ -211,6 +235,7 @@ let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
   in
   let compute ~symtree ~pp_cache =
     let tree, sym_stats = Telemetry.span "explore" symtree in
+    let _, pa = m.elaborate () in
     let pp =
       Telemetry.span "peak-power" (fun () ->
           Peak_power.of_tree ?cache:pp_cache pa tree)
@@ -234,16 +259,19 @@ let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
     let tree, b = compute ~symtree:explore ~pp_cache:None in
     of_bounds image (fun () -> tree) b
   | Some c ->
-    let tkey = tree_key config cpu image in
+    let tkey = tree_key config m image in
     let symtree () = Cache.memo c ~ns:"symtree" ~key:tkey explore in
     (* the peak-power trace hangs off the tree + power context *)
-    let pkey = Cache.Key.combine [ tkey; pa_digest pa ] in
+    let pkey = Cache.Key.combine [ tkey; m.pa_digest () ] in
     let b =
       Cache.memo c ~ns:"analysis"
-        ~key:(analysis_key ~version:analysis_version ~config pa tkey)
+        ~key:(analysis_key ~version:analysis_version ~config m tkey)
         (fun () -> snd (compute ~symtree ~pp_cache:(Some (c, pkey))))
     in
     of_bounds image (fun () -> fst (symtree ())) b
+
+let run ?config ?pool ?cache ?specialize pa cpu image =
+  run_model ?config ?pool ?cache ?specialize (model pa cpu) image
 
 (* Symbolic execution of a program fragment: boot the machine with the
    reset vector pointed at [entry] and explore until [is_end]. Because

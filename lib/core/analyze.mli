@@ -13,7 +13,7 @@ type config = {
 val default_config : config
 
 (** An analysis: its bounds, plus a way to fetch the execution tree
-    (see {!tree}). Built only by {!run}. *)
+    (see {!tree}). Built only by {!run_model}. *)
 type t = private {
   image : Isa.Asm.image;
   sym_stats : Gatesim.Sym.stats;
@@ -25,8 +25,8 @@ type t = private {
 }
 
 (** The execution tree (Algorithm 1) behind an analysis. Without a
-    cache {!run} keeps it in memory. With one, it is fetched on every
-    call through the same single-flight ["symtree"] memo {!run} used:
+    cache {!run_model} keeps it in memory. With one, it is fetched on every
+    call through the same single-flight ["symtree"] memo {!run_model} used:
     from the memory LRU, from disk, or by re-exploring (deterministic,
     so the tree is the same). Only reports that need cycles (COIs,
     explain, validation) call it; bounds never do. *)
@@ -77,17 +77,40 @@ val cpu_digest : Cpu.t -> Cache.Key.t
 (** Digest of a power context, memoized the same way. *)
 val pa_digest : Poweran.t -> Cache.Key.t
 
+(** The bundled CPU and its standard power context ({!poweran_for}):
+    the processor the [Xbound] facade analyzes. *)
+val build_standard : unit -> Cpu.t * Poweran.t
+
+(** {2 Models}
+
+    What an analysis needs of the processor, split by when it needs it:
+    the cache keys need only the two digests, and only a computation
+    behind a miss needs the gates. A caller that knows the digests
+    ahead of time can therefore answer a cache hit without elaborating
+    the processor. *)
+type model = {
+  cpu_digest : unit -> Cache.Key.t;  (** {!cpu_digest} of the CPU *)
+  pa_digest : unit -> Cache.Key.t;  (** {!pa_digest} of the power context *)
+  elaborate : unit -> Cpu.t * Poweran.t;
+      (** the CPU and power context those digests describe; called only
+          by explorations and pricing, possibly from several domains *)
+}
+
+(** The model of an already built CPU and power context; its digests
+    are {!cpu_digest} and {!pa_digest}, computed on first use. *)
+val model : Poweran.t -> Cpu.t -> model
+
 (** Tier-2 key: Algorithm 1's execution tree, which depends on the
-    netlist/ports, the image and the exploration knobs — but not on the
-    power context or [loop_bound], so those can change and still reuse
-    the tree. *)
-val tree_key : ?version:int -> config -> Cpu.t -> Isa.Asm.image -> Cache.Key.t
+    netlist/ports (the model's CPU digest), the image and the
+    exploration knobs — but not on the power context or [loop_bound],
+    so those can change and still reuse the tree. *)
+val tree_key : ?version:int -> config -> model -> Isa.Asm.image -> Cache.Key.t
 
 (** Tier-1 key: the whole analysis result. *)
 val cache_key :
-  ?version:int -> config:config -> Poweran.t -> Cpu.t -> Isa.Asm.image -> Cache.Key.t
+  ?version:int -> config:config -> model -> Isa.Asm.image -> Cache.Key.t
 
-(** [run pa cpu image] — Algorithm 1 (symbolic execution) followed by
+(** [run_model m image] — Algorithm 1 (symbolic execution) followed by
     the Section 3.2/3.3 computations. [pool] (default: the ambient
     {!Parallel.auto} pool) parallelizes the tree exploration; the result
     is bit-identical at any job count. With [cache], three namespaces
@@ -95,8 +118,18 @@ val cache_key :
     bounds under {!cache_key}, ["symtree"] the execution tree and its
     stats under {!tree_key}, and ["peak-power"] the power trace and its
     peak under the tree key plus the power context. A hit on
-    ["analysis"] reads only the bounds; cached results are
-    bit-identical to fresh ones. *)
+    ["analysis"] reads only the bounds and never calls
+    [m.elaborate]; cached results are bit-identical to fresh ones. *)
+val run_model :
+  ?config:config ->
+  ?pool:Parallel.Pool.t ->
+  ?cache:Cache.t ->
+  ?specialize:bool ->
+  model ->
+  Isa.Asm.image ->
+  t
+
+(** [run pa cpu image] — {!run_model} on [model pa cpu]. *)
 val run :
   ?config:config ->
   ?pool:Parallel.Pool.t ->

@@ -235,20 +235,51 @@ let bench bname =
         (Telemetry.span "assemble" (fun () -> Benchprogs.Bench.assemble b)))
     (find_bench bname)
 
-(* The processor is elaborated once per process and shared; elaboration
-   failures surface as Error.Netlist on every call. *)
-let env =
-  lazy
-    (Telemetry.span "elaborate" @@ fun () ->
-     let cpu = Cpu.build () in
-     (cpu, Core.Analyze.poweran_for cpu))
+(* The facade's processor model. Its cache-key digests are baked at
+   build time (Model_digests), so an exact-tier cache hit needs neither
+   the gates nor a digest of them. The CPU and power context are
+   elaborated on first real use, once per process, under a mutex: the
+   first use may come from several executor threads or pool domains at
+   once, where a shared [Lazy.t] would raise [Lazy.Undefined]. An
+   elaboration failure is kept and surfaces as Error.Netlist on every
+   call. *)
+exception Elaboration_failed of string
+
+let elaboration = Mutex.create ()
+let elaborated = ref None
+
+let elaborate () =
+  let r =
+    Mutex.protect elaboration @@ fun () ->
+    match !elaborated with
+    | Some r -> r
+    | None ->
+      let r =
+        match Telemetry.span "elaborate" Core.Analyze.build_standard with
+        | env -> Ok env
+        | exception Netlist.Combinational_loop _ ->
+          Error "combinational loop in the elaborated netlist"
+        | exception e -> Error (Printexc.to_string e)
+      in
+      elaborated := Some r;
+      r
+  in
+  match r with Ok env -> env | Error m -> raise (Elaboration_failed m)
+
+let model =
+  {
+    Core.Analyze.cpu_digest = (fun () -> Model_digests.cpu);
+    pa_digest = (fun () -> Model_digests.pa);
+    elaborate;
+  }
+
+let netlist_errors f =
+  try f () with Elaboration_failed m -> Error (Error.Netlist m)
 
 let with_env f =
-  match Lazy.force env with
-  | cpu, pa -> f cpu pa
-  | exception Netlist.Combinational_loop _ ->
-    Error (Error.Netlist "combinational loop in the elaborated netlist")
-  | exception e -> Error (Error.Netlist (Printexc.to_string e))
+  netlist_errors @@ fun () ->
+  let cpu, pa = elaborate () in
+  f cpu pa
 
 let set_jobs jobs = Option.iter Parallel.set_default_jobs jobs
 
@@ -327,11 +358,11 @@ let analyze ?(ctx = Ctx.default) p =
       ( phase_diff ~before:phases0 ~after:(Telemetry.phase_totals s),
         Telemetry.diff ~before:counters0 ~after:(Telemetry.counters ()) )
   in
-  with_env (fun cpu pa ->
+  netlist_errors (fun () ->
       let exact () =
         match
-          Core.Analyze.run ~config:(config_of p) ?cache:ctx.Ctx.cache
-            ~specialize:ctx.Ctx.specialize pa cpu p.p_image
+          Core.Analyze.run_model ~config:(config_of p) ?cache:ctx.Ctx.cache
+            ~specialize:ctx.Ctx.specialize model p.p_image
         with
         | a ->
           let pe = a.Core.Analyze.peak_energy in
@@ -369,6 +400,7 @@ let analyze ?(ctx = Ctx.default) p =
                })
       in
       let static () =
+        let cpu, pa = elaborate () in
         match
           Static.Ipet.analyze ?cache:ctx.Ctx.cache
             ~specialize:ctx.Ctx.specialize ~name:p.p_name
@@ -448,9 +480,9 @@ let cois ?(top = 4) ?(min_gap = 5) a =
   match a.detail with
   | Static_detail _ -> []
   | Exact_detail raw -> (
-    match Lazy.force env with
+    match elaborate () with
     | _, pa -> Core.Analyze.cois ~top ~min_gap pa raw
-    | exception _ -> [])
+    | exception Elaboration_failed _ -> [])
 
 let pp_coi = Core.Coi.pp
 
@@ -465,8 +497,7 @@ let explain ?ctx ?(top = 4) ?(min_gap = 5) a =
   | Exact_detail raw ->
     let ctx = Option.value ctx ~default:Ctx.default in
     in_ctx ctx @@ fun () ->
-    (* [a] exists, so the environment was already elaborated. *)
-    let cpu, pa = Lazy.force env in
+    let cpu, pa = elaborate () in
     (* [folded] is passed regardless of [ctx.specialize] — the class
        labeling comes from the netlist analysis, not the engine mode, so
        reports are byte-identical with specialization on or off. *)

@@ -11,8 +11,10 @@
     {!Cache.t}, a worker-domain count, and an optional {!Telemetry.t}
     sink for spans/counters/trace export.
 
-    The processor (netlist + power context) is elaborated once per
-    process, lazily, and shared by every call. *)
+    The processor (netlist + power context) is the one {!model}: its
+    cache-key digests are baked in at build time, and it is elaborated
+    at most once per process, on the first call that needs gates, and
+    shared by every call. *)
 
 (** {1 Bound tiers}
 
@@ -124,6 +126,18 @@ module Ctx : sig
     unit ->
     t
 end
+
+(** {1 The processor model} *)
+
+(** The model every facade call analyzes: {!Core.Analyze.build_standard}.
+    Its digests were computed by a generator at build time, so an
+    exact-tier cache hit neither elaborates the processor nor digests
+    it. [elaborate] builds the CPU and power context on first use,
+    exactly once even when the first uses are concurrent (executor
+    threads, pool domains); explorations, the power trace, {!explain},
+    {!cois}, {!run_concrete}, {!optimize} and the static tier all go
+    through it. *)
+val model : Core.Analyze.model
 
 (** {1 Programs} *)
 

@@ -59,39 +59,40 @@ let result_digest (a : Core.Analyze.t) =
 
 let test_key_perturbation () =
   let cpu, pa = Lazy.force env in
+  let m = Core.Analyze.model pa cpu in
   let img = image 25 in
-  let tk = Core.Analyze.tree_key config cpu img in
-  let ck = Core.Analyze.cache_key ~config pa cpu img in
+  let tk = Core.Analyze.tree_key config m img in
+  let ck = Core.Analyze.cache_key ~config m img in
   (* flipping one immediate in the binary changes both key tiers *)
   let img' = image 26 in
   Alcotest.(check bool)
     "binary flip changes tree key" true
-    (tk <> Core.Analyze.tree_key config cpu img');
+    (tk <> Core.Analyze.tree_key config m img');
   Alcotest.(check bool)
     "binary flip changes cache key" true
-    (ck <> Core.Analyze.cache_key ~config pa cpu img');
+    (ck <> Core.Analyze.cache_key ~config m img');
   (* loop_bound is an Algorithm 2 knob: the exploration (tree) key must
      NOT move, the whole-analysis key must *)
   let config' = { config with Core.Analyze.loop_bound = 8 } in
   Alcotest.(check string)
     "loop_bound keeps the tree key" tk
-    (Core.Analyze.tree_key config' cpu img);
+    (Core.Analyze.tree_key config' m img);
   Alcotest.(check bool)
     "loop_bound changes the cache key" true
-    (ck <> Core.Analyze.cache_key ~config:config' pa cpu img);
+    (ck <> Core.Analyze.cache_key ~config:config' m img);
   (* an exploration knob moves both *)
   let config'' = { config with Core.Analyze.max_paths = 65 } in
   Alcotest.(check bool)
     "max_paths changes the tree key" true
-    (tk <> Core.Analyze.tree_key config'' cpu img);
+    (tk <> Core.Analyze.tree_key config'' m img);
   (* bumping the code version invalidates everything *)
   let v = Core.Analyze.analysis_version + 1 in
   Alcotest.(check bool)
     "version bump changes the tree key" true
-    (tk <> Core.Analyze.tree_key ~version:v config cpu img);
+    (tk <> Core.Analyze.tree_key ~version:v config m img);
   Alcotest.(check bool)
     "version bump changes the cache key" true
-    (ck <> Core.Analyze.cache_key ~version:v ~config pa cpu img)
+    (ck <> Core.Analyze.cache_key ~version:v ~config m img)
 
 let test_memo_hit_miss () =
   let c = Cache.create () in

@@ -566,6 +566,74 @@ let test_serve_single_flight () =
   checkb "second request joined or hit" true
     (c.Cache.joined + c.Cache.mem_hits >= 1)
 
+(* A deterministic wedge for the daemon's one executor: a test thread
+   claims the single-flight slot of [bench]'s exact analysis on the
+   server's cache, so the worker that picks up a request for [bench]
+   joins it and blocks until the test calls [release]. [blocked ()]
+   returns once the worker is waiting there. After the release the
+   claim fails and the worker computes the analysis itself. [release]
+   also runs on the way out, so a failing test never leaves the worker
+   stuck. *)
+exception Released
+
+let with_wedge cache bench f =
+  let b =
+    List.find
+      (fun b -> String.equal b.Benchprogs.Bench.name bench)
+      (Benchprogs.Bench.all @ Benchprogs.Extended.all)
+  in
+  let config =
+    {
+      Core.Analyze.default_config with
+      Core.Analyze.loop_bound = b.Benchprogs.Bench.loop_bound;
+      max_paths = b.Benchprogs.Bench.max_paths;
+    }
+  in
+  let key =
+    Core.Analyze.cache_key ~config Xbound.model (Benchprogs.Bench.assemble b)
+  in
+  let m = Mutex.create () and cv = Condition.create () in
+  let claimed = ref false and released = ref false in
+  let holder =
+    Thread.create
+      (fun () ->
+        try
+          Cache.memo cache ~ns:"analysis" ~key (fun () ->
+              Mutex.protect m (fun () ->
+                  claimed := true;
+                  Condition.broadcast cv;
+                  while not !released do
+                    Condition.wait cv m
+                  done);
+              raise Released)
+        with Released -> ())
+      ()
+  in
+  Mutex.protect m (fun () ->
+      while not !claimed do
+        Condition.wait cv m
+      done);
+  let joined0 = (Cache.counters cache).Cache.joined in
+  let blocked () =
+    let deadline = Unix.gettimeofday () +. 60. in
+    while (Cache.counters cache).Cache.joined = joined0 do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.fail "the worker never reached the wedge";
+      Thread.delay 0.001
+    done
+  in
+  let release () =
+    let first =
+      Mutex.protect m (fun () ->
+          let first = not !released in
+          released := true;
+          Condition.broadcast cv;
+          first)
+    in
+    if first then Thread.join holder
+  in
+  Fun.protect ~finally:release (fun () -> f ~blocked ~release)
+
 (* workers=1 and capacity=1: with one request running and one queued,
    the third is rejected with the typed 429. *)
 let test_serve_admission_reject () =
@@ -577,10 +645,11 @@ let test_serve_admission_reject () =
   | Ok fd ->
     Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     @@ fun () ->
+    with_wedge cache "div" @@ fun ~blocked ~release ->
     (* Three different analyses so single-flight cannot collapse them.
-       The first (div, the slow fork-heavy one) gets a head start so it
-       is dequeued and occupying the one worker; then the second fills
-       the one queue slot and the third must be rejected. *)
+       The first (div) is dequeued and held on the wedge, occupying the
+       one worker; then the second fills the one queue slot and the
+       third must be rejected. *)
     let send i bench =
       Serve.Frame.write fd
         (Wire.encode_request
@@ -589,9 +658,10 @@ let test_serve_admission_reject () =
                Wire.Request.Analyze { bench; tier = Xbound.Tier.Exact } })
     in
     send 1 "div";
-    Unix.sleepf 0.3;
+    blocked ();
     send 2 "tea8";
     send 3 "mult";
+    release ();
     let replies = List.init 3 (fun _ ->
         match Serve.Frame.read fd with
         | Ok r -> (
@@ -701,7 +771,7 @@ let test_serve_explain_byte_identical () =
 (* ---------------- the admin lane ---------------- *)
 
 (* Health and Stats are served inline on the reader thread, never
-   through the scheduler: with one worker wedged on a slow analysis and
+   through the scheduler: with one worker wedged on an analysis and
    the one queue slot taken, batch work is rejected with Overloaded —
    and the admin ops still answer. *)
 let test_serve_admin_lane () =
@@ -722,8 +792,9 @@ let test_serve_admin_lane () =
                Wire.Request.Analyze { bench; tier = Xbound.Tier.Exact } })
     in
     (* Wedge: div occupies the worker, tea8 fills the queue slot. *)
+    with_wedge cache "div" @@ fun ~blocked ~release ->
     send 1 "div";
-    Unix.sleepf 0.3;
+    blocked ();
     send 2 "tea8";
     (* The scheduler is now saturated; the admin lane must not care.
        Health is served by a different reader thread than the one
@@ -768,6 +839,7 @@ let test_serve_admin_lane () =
     | Error e -> Alcotest.fail (Xbound.Error.to_string e));
     (* ... while batch work is genuinely being rejected. *)
     send 3 "mult";
+    release ();
     let replies =
       List.init 3 (fun _ ->
           match Serve.Frame.read fd with
