@@ -24,6 +24,19 @@ let c_corrupt = Telemetry.Counter.make "cache.corrupt"
 let c_joined = Telemetry.Counter.make "cache.joined"
 let h_wait = Telemetry.Histogram.make "cache.wait_ns"
 
+(* The resident memory layer, summed over every live cache in the
+   process: updated by deltas on insert, evict and clear, and taken
+   back when a cache is collected. *)
+let g_mem_entries = Telemetry.Gauge.make "cache.mem_entries"
+let g_mem_bytes = Telemetry.Gauge.make "cache.mem_bytes"
+
+let mem_budget_bytes = 4 * 1024 * 1024
+
+(* What one resident entry costs beyond its key and value: the entry
+   record, its table binding and slot. Keeps the number of tiny
+   entries bounded under the byte budget too. *)
+let entry_overhead_bytes = 128
+
 type counters = {
   mutable mem_hits : int;
   mutable disk_hits : int;
@@ -34,52 +47,82 @@ type counters = {
   mutable joined : int;
 }
 
-(* Intrusive doubly-linked LRU list; [head] is most recently used. *)
+(* Intrusive doubly-linked LRU list; [head] is most recently used.
+   [weight] is the entry's bytes (0 under a count bound). *)
 type entry = {
   ekey : string;
   value : Obj.t;
+  weight : int;
   mutable prev : entry option;  (* toward head *)
   mutable next : entry option;  (* toward tail *)
 }
 
-type slot = Ready of entry | In_flight
+(* One computation of a key. Its caller sets [result] on publish, so
+   the callers waiting on it get the value even when it is too heavy
+   to stay resident. *)
+type flight = { mutable result : Obj.t option }
+
+type slot = Ready of entry | In_flight of flight
+
+(* The memory layer holds at most [Entries n] values, or values
+   weighing at most [Bytes b] in all. *)
+type bound = Entries of int | Bytes of int
 
 type t = {
   dir_ : string option;
-  capacity : int;
+  bound : bound;
   table : (string, slot) Hashtbl.t;
   mutable head : entry option;
   mutable tail : entry option;
   mutable count : int;
+  mutable bytes : int;
   m : Mutex.t;
   cv : Condition.t;
   c : counters;
 }
 
-let create ?dir ?(mem_entries = 64) () =
-  {
-    dir_ = dir;
-    capacity = max 1 mem_entries;
-    table = Hashtbl.create 64;
-    head = None;
-    tail = None;
-    count = 0;
-    m = Mutex.create ();
-    cv = Condition.create ();
-    c =
-      {
-        mem_hits = 0;
-        disk_hits = 0;
-        misses = 0;
-        stores = 0;
-        evictions = 0;
-        corrupt = 0;
-        joined = 0;
-      };
-  }
+let create ?dir ?mem_entries () =
+  let t =
+    {
+      dir_ = dir;
+      bound =
+        (match mem_entries with
+        | Some n -> Entries (max 1 n)
+        | None -> Bytes mem_budget_bytes);
+      table = Hashtbl.create 64;
+      head = None;
+      tail = None;
+      count = 0;
+      bytes = 0;
+      m = Mutex.create ();
+      cv = Condition.create ();
+      c =
+        {
+          mem_hits = 0;
+          disk_hits = 0;
+          misses = 0;
+          stores = 0;
+          evictions = 0;
+          corrupt = 0;
+          joined = 0;
+        };
+    }
+  in
+  Gc.finalise
+    (fun t ->
+      Telemetry.Gauge.add g_mem_entries (-t.count);
+      Telemetry.Gauge.add g_mem_bytes (-t.bytes))
+    t;
+  t
 
 let dir t = t.dir_
 let counters t = t.c
+
+let mem_stats t =
+  Mutex.lock t.m;
+  let s = (t.count, t.bytes) in
+  Mutex.unlock t.m;
+  s
 
 let reset_counters t =
   Mutex.lock t.m;
@@ -130,18 +173,50 @@ let touch t e =
     push_front t e
   end
 
-let insert_ready t full_key v =
-  let e = { ekey = full_key; value = v; prev = None; next = None } in
+let account t entries bytes =
+  t.count <- t.count + entries;
+  t.bytes <- t.bytes + bytes;
+  Telemetry.Gauge.add g_mem_entries entries;
+  Telemetry.Gauge.add g_mem_bytes bytes
+
+(* Take [e] out of the list and the table. *)
+let drop t e =
+  unlink t e;
+  Hashtbl.remove t.table e.ekey;
+  account t (-1) (-e.weight)
+
+let over t =
+  match t.bound with Entries n -> t.count > n | Bytes b -> t.bytes > b
+
+(* A value heavier than the whole budget is not retained: keeping it
+   would evict everything else and still not fit. *)
+let retains t weight =
+  match t.bound with Entries _ -> true | Bytes b -> weight <= b
+
+(* The bytes an entry is charged: its key, the fixed overhead, and the
+   value's marshaled length when the disk layer measured it, else its
+   heap size. Under a count bound entries are not weighed. *)
+let weigh t full_key ~payload v =
+  match t.bound with
+  | Entries _ -> 0
+  | Bytes _ ->
+    let value_bytes =
+      match payload with
+      | Some n -> n
+      | None -> Obj.reachable_words v * (Sys.word_size / 8)
+    in
+    entry_overhead_bytes + String.length full_key + value_bytes
+
+let insert_ready t full_key v weight =
+  let e = { ekey = full_key; value = v; weight; prev = None; next = None } in
   Hashtbl.replace t.table full_key (Ready e);
   push_front t e;
-  t.count <- t.count + 1;
-  while t.count > t.capacity do
+  account t 1 weight;
+  while over t do
     match t.tail with
-    | None -> t.count <- t.capacity (* unreachable *)
+    | None -> assert false (* [over] implies a resident entry *)
     | Some victim ->
-      unlink t victim;
-      Hashtbl.remove t.table victim.ekey;
-      t.count <- t.count - 1;
+      drop t victim;
       t.c.evictions <- t.c.evictions + 1;
       Telemetry.Counter.incr c_evictions
   done
@@ -168,7 +243,8 @@ let entry_file dir ~ns ~key =
 (* An on-disk entry is: magic, namespace (length-prefixed), the MD5 of
    the payload, then the marshaled payload. Anything that fails to read
    back — wrong magic, wrong namespace, digest mismatch, truncation,
-   Marshal failure — is a miss; the bad file is deleted. *)
+   Marshal failure — is a miss; the bad file is deleted. A hit returns
+   the value with its payload length. *)
 let disk_load t ~ns ~key =
   match t.dir_ with
   | None -> None
@@ -188,7 +264,7 @@ let disk_load t ~ns ~key =
         let header = String.length magic + 4 + nslen + 16 in
         let payload = really_input_string ic (len - header) in
         if Digest.string payload <> digest then failwith "bad digest";
-        Marshal.from_string payload 0
+        (Marshal.from_string payload 0, String.length payload)
       in
       match
         Telemetry.span ~cat:"cache" "cache.disk_load" (fun () ->
@@ -206,13 +282,15 @@ let disk_load t ~ns ~key =
 (* Atomic publish: write the full entry to a temp file in the same
    directory, then rename over the final name. A concurrent reader sees
    either no file or a complete one. Best-effort: a full disk or
-   unwritable directory silently degrades to no persistence. *)
+   unwritable directory silently degrades to no persistence. Returns
+   the payload length of a stored entry. *)
 let disk_store t ~ns ~key v =
   match t.dir_ with
-  | None -> ()
+  | None -> None
   | Some dir -> (
     try
-      Telemetry.span ~cat:"cache" "cache.disk_store" (fun () ->
+      let payload_len =
+        Telemetry.span ~cat:"cache" "cache.disk_store" (fun () ->
           let file = entry_file dir ~ns ~key in
           let shard_dir = Filename.dirname file in
           mkdir_p shard_dir;
@@ -224,12 +302,15 @@ let disk_store t ~ns ~key v =
               output_string oc ns;
               output_string oc (Digest.string payload);
               output_string oc payload);
-          Sys.rename tmp file);
+          Sys.rename tmp file;
+          String.length payload)
+      in
       Mutex.lock t.m;
       t.c.stores <- t.c.stores + 1;
       Mutex.unlock t.m;
-      Telemetry.Counter.incr c_stores
-    with Sys_error _ | Sys_blocked_io -> ())
+      Telemetry.Counter.incr c_stores;
+      Some payload_len
+    with Sys_error _ | Sys_blocked_io -> None)
 
 let is_hex s =
   String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
@@ -328,67 +409,83 @@ let clear t =
         if d <> dir then try Sys.rmdir d with Sys_error _ -> ())
       (entry_dirs dir)
   | None -> ());
+  (* In-flight computations go with the entries: their waiters wake,
+     and the next caller of a key computes it anew. *)
   Mutex.lock t.m;
   Hashtbl.reset t.table;
   t.head <- None;
   t.tail <- None;
-  t.count <- 0;
+  account t (-t.count) (-t.bytes);
+  Condition.broadcast t.cv;
   Mutex.unlock t.m
 
 (* ---------------- memoization ---------------- *)
 
-(* Under t.m: either return the ready value, or claim the key for this
-   caller (returns None), waiting out any other domain's in-flight
-   computation first. *)
+(* Under t.m: the value, from the table or from the computation this
+   caller waited on ([`Value]), or the key claimed for this caller
+   ([`Claimed flight]). A caller whose computation went away (abandoned,
+   or dropped by [clear]) looks again. *)
 let acquire t full_key =
-  let waited = ref false in
   let wait_t0 = ref 0L in
   let observe_wait () =
-    if !waited && Telemetry.enabled () then
+    if Telemetry.enabled () then
       Telemetry.Histogram.observe h_wait (Int64.sub (Telemetry.now_ns ()) !wait_t0)
   in
-  let rec go () =
-    match Hashtbl.find_opt t.table full_key with
-    | Some (Ready e) ->
-      touch t e;
-      (* a caller that waited is already counted in [joined]; the
-         counters partition memo calls *)
-      if not !waited then begin
-        t.c.mem_hits <- t.c.mem_hits + 1;
-        Telemetry.Counter.incr c_mem_hits
-      end
-      else observe_wait ();
-      Some e.value
-    | Some In_flight ->
-      if not !waited then begin
-        waited := true;
-        if Telemetry.enabled () then wait_t0 := Telemetry.now_ns ();
-        t.c.joined <- t.c.joined + 1;
-        Telemetry.Counter.incr c_joined
-      end;
-      Condition.wait t.cv t.m;
-      go ()
-    | None ->
+  (* [waited]: the flight this caller last waited on *)
+  let rec go waited =
+    match waited with
+    | Some { result = Some v } ->
       observe_wait ();
-      Hashtbl.replace t.table full_key In_flight;
-      None
+      `Value v
+    | _ -> (
+      match Hashtbl.find_opt t.table full_key with
+      | Some (Ready e) ->
+        touch t e;
+        (* a caller that waited is already counted in [joined]; the
+           counters partition memo calls *)
+        if Option.is_none waited then begin
+          t.c.mem_hits <- t.c.mem_hits + 1;
+          Telemetry.Counter.incr c_mem_hits
+        end
+        else observe_wait ();
+        `Value e.value
+      | Some (In_flight fl) ->
+        if Option.is_none waited then begin
+          if Telemetry.enabled () then wait_t0 := Telemetry.now_ns ();
+          t.c.joined <- t.c.joined + 1;
+          Telemetry.Counter.incr c_joined
+        end;
+        Condition.wait t.cv t.m;
+        go (Some fl)
+      | None ->
+        if Option.is_some waited then observe_wait ();
+        let fl = { result = None } in
+        Hashtbl.replace t.table full_key (In_flight fl);
+        `Claimed fl)
   in
-  go ()
+  go None
 
-let publish t full_key v =
+(* Hand [v] to this flight's waiters and make it the key's one entry,
+   if it fits. A [Ready] binding already there — published by a
+   computation that [clear] cut loose — is replaced, not duplicated;
+   another caller's claim made after a [clear] is overwritten only by a
+   retained value, so that its waiters and new callers still find
+   something. *)
+let publish t fl full_key v ~weight =
   Mutex.lock t.m;
-  (* In_flight -> Ready; count the slot only once. *)
+  fl.result <- Some v;
   (match Hashtbl.find_opt t.table full_key with
-  | Some In_flight -> Hashtbl.remove t.table full_key
-  | _ -> ());
-  insert_ready t full_key v;
+  | Some (Ready old) -> drop t old
+  | Some (In_flight f) when f == fl -> Hashtbl.remove t.table full_key
+  | Some (In_flight _) | None -> ());
+  if retains t weight then insert_ready t full_key v weight;
   Condition.broadcast t.cv;
   Mutex.unlock t.m
 
-let abandon t full_key =
+let abandon t fl full_key =
   Mutex.lock t.m;
   (match Hashtbl.find_opt t.table full_key with
-  | Some In_flight -> Hashtbl.remove t.table full_key
+  | Some (In_flight f) when f == fl -> Hashtbl.remove t.table full_key
   | _ -> ());
   Condition.broadcast t.cv;
   Mutex.unlock t.m
@@ -397,18 +494,22 @@ let memo t ~ns ~key f =
   let full_key = ns ^ ":" ^ key in
   Mutex.lock t.m;
   match acquire t full_key with
-  | Some v ->
+  | `Value v ->
     Mutex.unlock t.m;
     Obj.obj v
-  | None -> (
+  | `Claimed fl -> (
     Mutex.unlock t.m;
+    let publish v payload =
+      let r = Obj.repr v in
+      publish t fl full_key r ~weight:(weigh t full_key ~payload r)
+    in
     match disk_load t ~ns ~key with
-    | Some v ->
+    | Some (v, len) ->
       Mutex.lock t.m;
       t.c.disk_hits <- t.c.disk_hits + 1;
       Mutex.unlock t.m;
       Telemetry.Counter.incr c_disk_hits;
-      publish t full_key (Obj.repr v);
+      publish v (Some len);
       v
     | None -> (
       Mutex.lock t.m;
@@ -417,9 +518,8 @@ let memo t ~ns ~key f =
       Telemetry.Counter.incr c_misses;
       match f () with
       | v ->
-        disk_store t ~ns ~key v;
-        publish t full_key (Obj.repr v);
+        publish v (disk_store t ~ns ~key v);
         v
       | exception e ->
-        abandon t full_key;
+        abandon t fl full_key;
         raise e))

@@ -5,9 +5,11 @@
     every result can be memoized under a digest of exactly those inputs.
     This module provides the substrate:
 
-    - an {e in-memory LRU layer} shared across the domain pool, with
-      {e single-flight} semantics: concurrent requests for the same key
-      block on the one in-flight computation instead of duplicating it;
+    - an {e in-memory LRU layer} shared across the domain pool, bounded
+      by bytes ({!mem_budget_bytes}) unless the caller asks for a count
+      bound, with {e single-flight} semantics: concurrent requests for
+      the same key block on the one in-flight computation instead of
+      duplicating it;
     - an optional {e persistent disk layer}: entries are written
       atomically (write-to-temp then rename) in a versioned container
       format with an embedded payload digest, and any unreadable, stale
@@ -54,10 +56,25 @@ type counters = {
 
 type t
 
-(** [create ?dir ?mem_entries ()] — a cache with an in-memory LRU of at
-    most [mem_entries] values (default 64) and, when [dir] is given, a
-    persistent layer in that directory (created on demand). Without
-    [dir] the cache is memory-only. *)
+(** The default bound of the memory layer: the total weight, in bytes,
+    of its resident entries (4 MiB). An entry weighs its key, a fixed
+    per-entry overhead, and its value: the marshaled payload length
+    when the disk layer wrote or read it, else the value's heap size
+    ([Obj.reachable_words]). Small results (bounds summaries, power
+    traces, block costs) all fit; execution trees of tens of MB are
+    served from disk. *)
+val mem_budget_bytes : int
+
+(** [create ?dir ?mem_entries ()] — a cache with an in-memory LRU and,
+    when [dir] is given, a persistent layer in that directory (created
+    on demand). Without [dir] the cache is memory-only.
+
+    By default the LRU evicts from its tail until its entries weigh at
+    most {!mem_budget_bytes}; a value heavier than the whole budget is
+    returned to its caller (and to callers waiting on it) but not
+    retained, and evicts nothing. With [mem_entries] the LRU instead
+    holds at most [mem_entries] values whatever their size, and its
+    entries are not weighed. *)
 val create : ?dir:string -> ?mem_entries:int -> unit -> t
 
 (** The disk directory, if persistent. *)
@@ -89,6 +106,13 @@ val counters_json : t -> string
     left in the root (0 when memory-only). *)
 val disk_stats : t -> int * int
 
+(** [(entries, bytes)] resident in the memory layer. [bytes] is the
+    weight the budget counts (see {!mem_budget_bytes}); it is 0 for a
+    cache created with [mem_entries], whose entries are not weighed.
+    Summed over every live cache, the same numbers are the process-wide
+    gauges [cache.mem_entries] and [cache.mem_bytes]. *)
+val mem_stats : t -> int * int
+
 (** Per-namespace [(ns, (entries, bytes))] rows for the disk layer,
     sorted by namespace — the breakdown behind {!disk_stats}, so the
     [xbound cache stats] output can attribute entries to their kind
@@ -98,5 +122,8 @@ val disk_stats_by_ns : t -> (string * (int * int)) list
 
 (** Drop every in-memory entry and delete every disk entry this cache
     format owns (files named [<ns>.<digest>.v<version>], flat or
-    sharded; emptied shard subdirectories are removed). *)
+    sharded; emptied shard subdirectories are removed). In-flight
+    computations are forgotten too: their waiters wake, and the next
+    [memo] of such a key computes it anew. The key still ends up with
+    one resident entry when both computations publish. *)
 val clear : t -> unit

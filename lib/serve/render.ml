@@ -140,7 +140,8 @@ let health ~ok ~uptime_s ~queue_len ~queue_capacity ~inflight ~workers =
 
 (* One `xbound top` frame from a snapshot diff (the Watch stream's
    per-interval payload): rates over the window, the live gauges, the
-   cache hit ratio, the tier mix and per-phase latency percentiles. *)
+   cache hit ratio, the resident memory layer, the tier mix and
+   per-phase latency percentiles. *)
 let top (d : Telemetry.Snapshot.t) =
   let b = Buffer.create 1024 in
   let counter name =
@@ -172,6 +173,9 @@ let top (d : Telemetry.Snapshot.t) =
     Printf.bprintf b "  cache hit ratio %.1f%% (%d hits, %d misses)\n"
       (100. *. float_of_int hits /. float_of_int (hits + misses))
       hits misses;
+  Printf.bprintf b "  cache memory %d entries, %.1f MiB\n"
+    (gauge "cache.mem_entries")
+    (mib (gauge "cache.mem_bytes"));
   (* Specialization effectiveness over the window: folded gates as a
      share of all gates compiled into engines. *)
   let folded = counter "engine.gates_folded" in

@@ -11,7 +11,7 @@ val to_string : Wire.Response.t -> string
 
 (** One [xbound top] frame from a snapshot {e diff} (a Watch stream
     payload): request/reject rates over the window, live queue/inflight
-    gauges, cache hit ratio, tier mix, queue-wait/exec/latency and
-    per-phase percentiles. Uses the same histogram row conventions as
+    gauges, cache hit ratio, resident cache memory, tier mix,
+    queue-wait/exec/latency and per-phase percentiles. Uses the same histogram row conventions as
     the [Stats] table. *)
 val top : Telemetry.Snapshot.t -> string

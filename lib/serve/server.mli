@@ -40,7 +40,9 @@
     (admission to execution start), [serve.exec_ns] (execution only),
     [serve.latency_ns] (admission to response written). Gauges:
     [serve.queue_len] (instantaneous, maintained by the scheduler),
-    [serve.inflight], [serve.workers], [serve.queue_capacity]. One
+    [serve.inflight], [serve.workers], [serve.queue_capacity], and the
+    cache's resident memory layer, [cache.mem_entries] and
+    [cache.mem_bytes]. One
     [cat:"serve"] span per executed request.
 
     Each executed request runs under a {!Telemetry.Scope} with the

@@ -2,7 +2,7 @@
    (binary / config / version perturbation), corruption tolerance,
    single-flight under the domain pool, cached-vs-fresh determinism,
    the namespace layout (the tree stored once, read only on demand),
-   and LRU eviction. *)
+   LRU eviction, and the memory layer's byte bound. *)
 
 let tmpdir () =
   let d = Filename.temp_file "xbound-test-cache" "" in
@@ -339,6 +339,175 @@ let test_lru_eviction () =
   ignore (get 2);
   Alcotest.(check int) "resident key is a hit" 4 !calls
 
+(* ---------------- the byte bound ---------------- *)
+
+let budget = Cache.mem_budget_bytes
+
+(* Memory-only values whose weights are known up to the small per-entry
+   overhead: a quarter-budget string, and so on. *)
+let string_cache () =
+  let c = Cache.create () in
+  let calls = ref 0 in
+  let get i n =
+    Cache.memo c ~ns:"t" ~key:(Cache.Key.of_string (string_of_int i)) (fun () ->
+        incr calls;
+        String.make n 'x')
+  in
+  (c, calls, get)
+
+let test_byte_eviction_order () =
+  let c, calls, get = string_cache () in
+  let q = budget / 4 in
+  ignore (get 0 q);
+  ignore (get 1 q);
+  ignore (get 2 q);
+  Alcotest.(check int) "three quarters fit" 3 (fst (Cache.mem_stats c));
+  Alcotest.(check int) "nothing evicted yet" 0 (Cache.counters c).Cache.evictions;
+  (* touch 0: the LRU order, tail first, is now 1, 2, 0 *)
+  ignore (get 0 q);
+  (* a half-budget value needs two quarters gone *)
+  ignore (get 3 (2 * q));
+  let entries, bytes = Cache.mem_stats c in
+  Alcotest.(check int) "two evicted" 2 (Cache.counters c).Cache.evictions;
+  Alcotest.(check int) "two resident" 2 entries;
+  Alcotest.(check bool)
+    (Printf.sprintf "within budget (%d of %d)" bytes budget)
+    true (bytes <= budget && bytes > 3 * q);
+  Alcotest.(check int) "four computations" 4 !calls;
+  ignore (get 0 q);
+  ignore (get 3 (2 * q));
+  Alcotest.(check int) "the recently used stayed" 4 !calls;
+  ignore (get 1 q);
+  ignore (get 2 q);
+  Alcotest.(check int) "the least recently used went" 6 !calls
+
+let test_oversize_not_retained () =
+  let c, calls, get = string_cache () in
+  ignore (get 0 16);
+  let before = Cache.mem_stats c in
+  Alcotest.(check int) "oversize value returned" (budget + 1)
+    (String.length (get 1 (budget + 1)));
+  Alcotest.(check (pair int int)) "not retained" before (Cache.mem_stats c);
+  Alcotest.(check int) "evicts nothing" 0 (Cache.counters c).Cache.evictions;
+  ignore (get 1 (budget + 1));
+  Alcotest.(check int) "recomputed" 3 !calls;
+  ignore (get 0 16);
+  Alcotest.(check int) "the small entry stayed" 3 !calls
+
+(* Callers waiting on an oversize value get it from its computation;
+   single flight holds even though it never becomes resident. *)
+let test_oversize_reaches_waiters () =
+  let c = Cache.create () in
+  let k = Cache.Key.of_string "big" in
+  let runs = Atomic.make 0 in
+  let f () =
+    Atomic.incr runs;
+    (* publish only once the other caller waits on this computation *)
+    while (Cache.counters c).Cache.joined < 1 do
+      Unix.sleepf 0.001
+    done;
+    String.make (budget + 1) 'x'
+  in
+  let d = Domain.spawn (fun () -> Cache.memo c ~ns:"t" ~key:k f) in
+  while Atomic.get runs < 1 do
+    Unix.sleepf 0.001
+  done;
+  let mine = Cache.memo c ~ns:"t" ~key:k f in
+  let theirs = Domain.join d in
+  Alcotest.(check bool) "same value" true (mine == theirs);
+  Alcotest.(check int) "computed once" 1 (Atomic.get runs);
+  Alcotest.(check int) "not retained" 0 (fst (Cache.mem_stats c))
+
+(* A disk-backed entry weighs its marshaled payload, whichever way it
+   got into memory: computed and stored, or loaded. The heap size of
+   the same value is far larger. *)
+let test_disk_entry_weight () =
+  let dir = tmpdir () in
+  let weight c v i =
+    let _, b0 = Cache.mem_stats c in
+    ignore (Cache.memo c ~ns:"t" ~key:(Cache.Key.of_string (string_of_int i)) (fun () -> v));
+    snd (Cache.mem_stats c) - b0
+  in
+  let payload v = String.length (Marshal.to_string v []) in
+  let small = List.init 1000 Fun.id and large = List.init 2000 Fun.id in
+  let c1 = Cache.create ~dir () in
+  let w_small = weight c1 small 1 and w_large = weight c1 large 2 in
+  Alcotest.(check int) "weights differ by the payloads"
+    (payload large - payload small)
+    (w_large - w_small);
+  Alcotest.(check bool)
+    (Printf.sprintf "payload plus a small overhead (%d for %d)" w_small
+       (payload small))
+    true
+    (w_small > payload small && w_small < payload small + 512);
+  let c2 = Cache.create ~dir () in
+  Alcotest.(check int) "a loaded entry weighs the same" w_small (weight c2 small 1);
+  Alcotest.(check int) "it was a disk hit" 1 (Cache.counters c2).Cache.disk_hits;
+  Alcotest.(check bool) "memory-only weighs the heap" true
+    (weight (Cache.create ()) small 1 > 3 * w_small);
+  Cache.clear c2;
+  rm_rf dir
+
+let test_mem_entries_counts () =
+  let c = Cache.create ~mem_entries:2 () in
+  let key i = Cache.Key.of_string (string_of_int i) in
+  let get i = Cache.memo c ~ns:"t" ~key:(key i) (fun () -> String.make (budget + 1) 'x') in
+  ignore (get 0);
+  ignore (get 1);
+  Alcotest.(check (pair int int)) "two oversize values kept, unweighed" (2, 0)
+    (Cache.mem_stats c);
+  ignore (get 2);
+  Alcotest.(check int) "the third evicts one" 1 (Cache.counters c).Cache.evictions;
+  Alcotest.(check int) "still two" 2 (fst (Cache.mem_stats c))
+
+(* The process-wide gauges move with the resident layer. *)
+let test_mem_gauges () =
+  Gc.full_major ();
+  let g name = Telemetry.Gauge.value (Telemetry.Gauge.make name) in
+  let e0 = g "cache.mem_entries" and b0 = g "cache.mem_bytes" in
+  let c = Cache.create () in
+  ignore (Cache.memo c ~ns:"t" ~key:(Cache.Key.of_string "g") (fun () -> [ 1; 2 ]));
+  let entries, bytes = Cache.mem_stats c in
+  Alcotest.(check (pair int int)) "insert adds" (e0 + entries, b0 + bytes)
+    (g "cache.mem_entries", g "cache.mem_bytes");
+  Cache.clear c;
+  Alcotest.(check (pair int int)) "clear takes back" (e0, b0)
+    (g "cache.mem_entries", g "cache.mem_bytes")
+
+(* [clear] while a computation is in flight: a second caller computes
+   the key anew, both publish, and the key keeps one entry. *)
+let test_clear_in_flight () =
+  let c = Cache.create ~mem_entries:8 () in
+  let k = Cache.Key.of_string "dup" in
+  let started = Atomic.make false and release = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Cache.memo c ~ns:"t" ~key:k (fun () ->
+            Atomic.set started true;
+            while not (Atomic.get release) do
+              Unix.sleepf 0.001
+            done;
+            1))
+  in
+  while not (Atomic.get started) do
+    Unix.sleepf 0.001
+  done;
+  Cache.clear c;
+  Alcotest.(check int) "second caller computes" 2
+    (Cache.memo c ~ns:"t" ~key:k (fun () -> 2));
+  Atomic.set release true;
+  Alcotest.(check int) "first caller gets its own value" 1 (Domain.join d);
+  Alcotest.(check int) "one resident entry" 1 (fst (Cache.mem_stats c));
+  Alcotest.(check int) "the last publish is served" 1
+    (Cache.memo c ~ns:"t" ~key:k (fun () -> 3));
+  (* filling the layer evicts the key's one entry, not a live binding *)
+  for i = 0 to 7 do
+    ignore (Cache.memo c ~ns:"u" ~key:(Cache.Key.of_string (string_of_int i)) Fun.id)
+  done;
+  Alcotest.(check int) "full, not over" 8 (fst (Cache.mem_stats c));
+  Alcotest.(check int) "the evicted key recomputes" 4
+    (Cache.memo c ~ns:"t" ~key:k (fun () -> 4))
+
 let () =
   Alcotest.run "cache"
     [
@@ -362,5 +531,22 @@ let () =
         ] );
       ( "concurrency",
         [ Alcotest.test_case "single-flight" `Quick test_single_flight ] );
-      ( "lru", [ Alcotest.test_case "eviction" `Quick test_lru_eviction ] );
+      ( "lru",
+        [
+          Alcotest.test_case "eviction" `Quick test_lru_eviction;
+          Alcotest.test_case "clear while in flight" `Quick test_clear_in_flight;
+        ] );
+      ( "bytes",
+        [
+          Alcotest.test_case "eviction in LRU order" `Quick
+            test_byte_eviction_order;
+          Alcotest.test_case "oversize not retained" `Quick
+            test_oversize_not_retained;
+          Alcotest.test_case "oversize reaches waiters" `Quick
+            test_oversize_reaches_waiters;
+          Alcotest.test_case "disk entry weighs its payload" `Quick
+            test_disk_entry_weight;
+          Alcotest.test_case "mem_entries counts" `Quick test_mem_entries_counts;
+          Alcotest.test_case "gauges" `Quick test_mem_gauges;
+        ] );
     ]

@@ -202,6 +202,40 @@ let test_block_cache_ns () =
   Alcotest.(check int) "clear wipes the block namespace too" 0 entries;
   (try Sys.rmdir dir with Sys_error _ -> ())
 
+(* One process analyzing every kernel twice on one default cache: the
+   second pass reads every block back from memory. Under a fixed entry
+   count a pass reads blocks in the order it wrote them, so plain LRU
+   evicted each just before it was needed. *)
+let test_warm_static_pass () =
+  let cache = Cache.create () in
+  let ctx = Xbound.Ctx.create ~cache ~tier:Xbound.Tier.Static () in
+  let pass () =
+    List.map
+      (fun (k, _) ->
+        match Result.bind (Xbound.bench k) (Xbound.analyze ~ctx) with
+        | Ok a -> (k, a)
+        | Error e -> Alcotest.fail (Xbound.Error.to_string e))
+      (Xbound.benchmarks ())
+  in
+  let bounds (a : Xbound.analysis) =
+    (Xbound.peak_power_w a, Xbound.peak_energy_j a, a.Xbound.peak_energy_cycles)
+  in
+  let cold = pass () in
+  Cache.reset_counters cache;
+  let warm = pass () in
+  let ct = Cache.counters cache in
+  Alcotest.(check int) "warm pass misses nothing" 0 ct.Cache.misses;
+  Alcotest.(check int) "warm pass evicts nothing" 0 ct.Cache.evictions;
+  List.iter2
+    (fun (k, c) (_, w) ->
+      Alcotest.(check bool) (k ^ ": warm bounds = cold bounds") true
+        (bounds c = bounds w);
+      let s = Option.get (Xbound.static_detail w) in
+      Alcotest.(check bool) (k ^ ": every block from the cache") true
+        (List.for_all (fun r -> r.Static.Ipet.r_cached) s.Static.Ipet.s_rows
+        && s.Static.Ipet.s_cached_blocks = s.Static.Ipet.s_blocks))
+    cold warm
+
 (* {1 Tier dispatch through the facade} *)
 
 (* A fork-heavy program with a starved path budget: the exact tier blows
@@ -273,7 +307,10 @@ let () =
             test_cfg_indirect_rejected;
         ] );
       ( "cache",
-        [ Alcotest.test_case "block namespace" `Slow test_block_cache_ns ] );
+        [
+          Alcotest.test_case "block namespace" `Slow test_block_cache_ns;
+          Alcotest.test_case "warm pass from memory" `Slow test_warm_static_pass;
+        ] );
       ( "tier",
         [
           Alcotest.test_case "too-large program" `Slow
