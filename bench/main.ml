@@ -332,6 +332,13 @@ let micro ~smoke () =
   let cpu_build =
     Test.make ~name:"cpu-elaboration" (Staged.stage (fun () -> ignore (Cpu.build ())))
   in
+  (* What a cold facade call pays in its place: unmarshal the model the
+     build baked in. *)
+  let model_load =
+    Test.make ~name:"model-load"
+      (Staged.stage (fun () ->
+           ignore (Marshal.from_string Xbound.baked_model 0 : Cpu.t * Poweran.t)))
+  in
   (* Smoke mode trades estimate quality for wall time: one-twentieth of
      the quota still runs every benchmark at least once, which is what
      CI needs to catch crashes and gross regressions. *)
@@ -371,7 +378,7 @@ let micro ~smoke () =
         results)
     [
       concrete_step; symbolic_tree; symbolic_tree_nospec; symbolic_tree_seq;
-      symbolic_tree_par; symbolic_div; peak_power; cpu_build;
+      symbolic_tree_par; symbolic_div; peak_power; cpu_build; model_load;
     ];
   let cache_json, cold_s, warm_s, speedup = bench_cache pa cpu img in
   let st_cold_s, st_warm_s, st_speedup = bench_static pa cpu img b in

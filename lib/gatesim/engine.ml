@@ -147,6 +147,8 @@ type tables = {
   tb_gkind : Bytes.t;  (* 1=Input, 2=Dff, 3=Dffe, 0 otherwise *)
   tb_gf0 : int array;  (* fanin 0 of Input/Dff/Dffe gates (en for Dffe) *)
   tb_xsp : int array;  (* bit-plane over net ids: Input|Dff|Dffe *)
+  tb_comb : int array;  (* bit-plane over net ids: combinational gates *)
+  tb_pos : int array;  (* net id -> position in [tb_full], -1 otherwise *)
   tb_islot : int array;  (* net id -> Zobrist slot of inputs, -1 otherwise *)
   tb_dff_e : Bytes.t;  (* per dff index: 1 iff Dffe *)
   tb_dff_f0 : int array;  (* d for Dff, en for Dffe *)
@@ -290,6 +292,13 @@ let build_tables nl =
   let nw = Tri.Plane.words n in
   let full = compile_program nl ~keep:(fun _ -> true) in
   (* Per-gate metadata for activity marking and digest maintenance. *)
+  let comb = Array.make nw 0 in
+  let pos = Array.make n (-1) in
+  for k = 0 to full.c_ncomb - 1 do
+    let id = full.c_prog.(k lsl 2) lsr 4 in
+    pos.(id) <- k;
+    comb.(id lsr 5) <- comb.(id lsr 5) lor (1 lsl (id land 31))
+  done;
   let gkind = Bytes.make n '\000' in
   let gf0 = Array.make n 0 in
   let xsp = Array.make nw 0 in
@@ -346,6 +355,8 @@ let build_tables nl =
     tb_gkind = gkind;
     tb_gf0 = gf0;
     tb_xsp = xsp;
+    tb_comb = comb;
+    tb_pos = pos;
     tb_islot = islot;
     tb_dff_e = dff_e;
     tb_dff_f0 = dff_f0;
@@ -705,41 +716,51 @@ let finish_cycle t =
       done
     end
   done;
-  (* X-propagated activity in dependency (program) order: an X-valued
-     gate is active when an active fanin can actually reach its output.
-     For and/or/xor-class cells an X output already implies every fanin
-     is potentially controlling, so any active fanin suffices; a mux
-     with a stable known select is only sensitive to the selected input
-     (this sensitization matters: without it, every idle X register
-     whose write-data bus toggles would be counted as potentially
-     switching each cycle, grossly inflating the bound). *)
-  let cur = t.cur in
-  let prog = cur.c_prog in
-  let ncomb = cur.c_ncomb in
-  for k = 0 to ncomb - 1 do
-    let p = k lsl 2 in
-    let hd = Array.unsafe_get prog p in
-    let out = hd lsr 4 in
-    let ow = out lsr 5 and ob = out land 31 in
-    if
-      (Array.unsafe_get vx ow lsr ob) land 1 = 1
-      && (Array.unsafe_get av ow lsr ob) land 1 = 0
-    then begin
-      let f0 = Array.unsafe_get prog (p + 1) in
-      let any =
-        if hd land 15 < 6 then
-          bit_set av f0 || bit_set av (Array.unsafe_get prog (p + 2))
-        else
-          bit_set av f0
-          ||
-          let sel = pget vv vx f0 in
-          if sel = 0 then bit_set av (Array.unsafe_get prog (p + 2))
-          else if sel = 1 then bit_set av (Array.unsafe_get prog (p + 3))
+  (* X-propagated activity: an X-valued gate is active when an active
+     fanin can actually reach its output. For and/or/xor-class cells an
+     X output already implies every fanin is potentially controlling,
+     so any active fanin suffices; a mux with a stable known select is
+     only sensitive to the selected input (this sensitization matters:
+     without it, every idle X register whose write-data bus toggles
+     would be counted as potentially switching each cycle, grossly
+     inflating the bound). Only X-valued, not-yet-active combinational
+     nets can change, so the pass visits just those, word by word in
+     ascending net id — a dependency order, because every fanin of a
+     combinational gate has a lower id (Netlist.Builder.add_gate), so
+     each fanin's activity is final when its reader is visited. Folded
+     nets of the specialized program hold definite values, so the full
+     program serves both. *)
+  let tb = t.tb in
+  let prog = tb.tb_full.c_prog and pos = tb.tb_pos and comb = tb.tb_comb in
+  for w = 0 to nw - 1 do
+    let cand =
+      Array.unsafe_get vx w
+      land Array.unsafe_get comb w
+      land lnot (Array.unsafe_get av w)
+    in
+    if cand <> 0 then begin
+      let c = ref cand in
+      while !c <> 0 do
+        let b = Tri.Plane.ctz !c in
+        c := !c land (!c - 1);
+        let p = Array.unsafe_get pos ((w lsl 5) lor b) lsl 2 in
+        let hd = Array.unsafe_get prog p in
+        let f0 = Array.unsafe_get prog (p + 1) in
+        let any =
+          if hd land 15 < 6 then
+            bit_set av f0 || bit_set av (Array.unsafe_get prog (p + 2))
           else
-            bit_set av (Array.unsafe_get prog (p + 2))
-            || bit_set av (Array.unsafe_get prog (p + 3))
-      in
-      if any then Array.unsafe_set av ow (Array.unsafe_get av ow lor (1 lsl ob))
+            bit_set av f0
+            ||
+            let sel = pget vv vx f0 in
+            if sel = 0 then bit_set av (Array.unsafe_get prog (p + 2))
+            else if sel = 1 then bit_set av (Array.unsafe_get prog (p + 3))
+            else
+              bit_set av (Array.unsafe_get prog (p + 2))
+              || bit_set av (Array.unsafe_get prog (p + 3))
+        in
+        if any then Array.unsafe_set av w (Array.unsafe_get av w lor (1 lsl b))
+      done
     end
   done;
   (* Collect deltas and X-active sets word by word into per-engine

@@ -135,15 +135,26 @@ and arm = {
 (* An expanded arm (or the root) awaiting simulation. *)
 type work = { w_seg : seg; w_snap : Engine.snapshot; w_len : int }
 
+(* Scratch state of one running task: an engine that resolves forks and
+   runs the scalar path, and a gang, each built on first use. *)
+type scratch = {
+  mutable x_engine : Engine.t option;
+  mutable x_gang : Engine.Gang.g option;
+}
+
 type sched = {
   cfg : config;
   pool : Parallel.Pool.t option;
   proto : Engine.t;
-  (* Per-worker scratch state, lazily built, each slot only ever touched
-     by its own domain (tasks never block, so a worker runs one task at
-     a time and helping cannot re-enter a slot mid-use). *)
-  scratch : Engine.t option array;
-  gangs : Engine.Gang.g option array;
+  (* Scratch states no task of this run holds. A task takes one when it
+     starts and returns it when it finishes, so no two tasks ever share
+     one — not even two threads of one domain (a server's executor
+     threads), which all have the same pool worker index and may help
+     on the pool mid-cycle of each other's tasks. Tasks never block, so
+     the list grows to at most the number of threads that ran a task of
+     this run at once. *)
+  free : scratch list ref;
+  free_lock : Mutex.t;
   stop : bool Atomic.t;
   est_paths : int Atomic.t;
       (* speculative path-end count; an over-estimate of the committed
@@ -153,11 +164,12 @@ type sched = {
 }
 
 (* Exploration state of one task: a Seen overlay shared by all its
-   local branches and a LIFO stack of pending arms. *)
+   local branches, a LIFO stack of pending arms, and its scratch. *)
 type tstate = {
   t_seen : Seen.t;
   mutable t_pending : work list;
   mutable t_npending : int;
+  t_scratch : scratch;
 }
 
 type lane = { l_seg : seg; mutable l_len : int }
@@ -168,25 +180,31 @@ let cycle_limit_exn cfg =
   Path_limit
     (Printf.sprintf "path exceeded %d cycles" cfg.max_cycles_per_path)
 
-let worker_slot sd =
-  match sd.pool with Some p -> Parallel.Pool.worker_index p | None -> 0
+let take_scratch sd =
+  Mutex.protect sd.free_lock (fun () ->
+      match !(sd.free) with
+      | x :: rest ->
+        sd.free := rest;
+        x
+      | [] -> { x_engine = None; x_gang = None })
 
-let scratch_of sd =
-  let i = worker_slot sd in
-  match sd.scratch.(i) with
+let give_scratch sd x =
+  Mutex.protect sd.free_lock (fun () -> sd.free := x :: !(sd.free))
+
+let scratch_of sd ts =
+  match ts.t_scratch.x_engine with
   | Some e -> e
   | None ->
     let e = Engine.create_like sd.proto in
-    sd.scratch.(i) <- Some e;
+    ts.t_scratch.x_engine <- Some e;
     e
 
-let gang_of sd =
-  let i = worker_slot sd in
-  match sd.gangs.(i) with
+let gang_of sd ts =
+  match ts.t_scratch.x_gang with
   | Some g -> g
   | None ->
     let g = Engine.Gang.create sd.proto ~width:(gang_width_of sd.cfg) in
-    sd.gangs.(i) <- Some g;
+    ts.t_scratch.x_gang <- Some g;
     g
 
 let note_path sd =
@@ -248,7 +266,7 @@ let needs_work a = (not a.a_cut) && a.a_seg.s_term == T_open
    the pool when it is hungry), so the local LIFO pops the not-taken arm
    next, preserving depth-first order. *)
 let rec resolve_fork sd ts seg mid_snap len_at_fork =
-  let e = scratch_of sd in
+  let e = scratch_of sd ts in
   Engine.restore e mid_snap;
   let nt = resolve_arm sd ts e Tri.Zero len_at_fork in
   Engine.restore e mid_snap;
@@ -281,7 +299,7 @@ let rec resolve_fork sd ts seg mid_snap len_at_fork =
 (* Straight-line fast path: a lone branch simulates on the scalar
    scratch engine with no gang overhead. *)
 and run_scalar sd ts w =
-  let e = scratch_of sd in
+  let e = scratch_of sd ts in
   Engine.restore e w.w_snap;
   let seg = w.w_seg in
   let len = ref w.w_len in
@@ -313,7 +331,7 @@ and run_scalar sd ts w =
    with one compiled-kernel pass per cycle. Lanes retire on path end,
    limit, or fork (forks re-queue their arms, refilling the gang). *)
 and run_gang sd ts =
-  let g = gang_of sd in
+  let g = gang_of sd ts in
   let lanes : lane option array = Array.make (Engine.Gang.width g) None in
   let drain_lanes () =
     Array.iteri
@@ -423,9 +441,18 @@ and task_loop sd ts =
 
 and spawn_task sd seen w =
   Telemetry.span ~cat:"sym" "explore" (fun () ->
-      let ts = { t_seen = seen; t_pending = []; t_npending = 0 } in
+      let ts =
+        {
+          t_seen = seen;
+          t_pending = [];
+          t_npending = 0;
+          t_scratch = take_scratch sd;
+        }
+      in
       push_work ts w;
-      task_loop sd ts)
+      task_loop sd ts;
+      (* Not returned when the task raises: its engine may be mid-cycle. *)
+      give_scratch sd ts.t_scratch)
 
 (* ---------------------------------------------------------------------
    Sequential commit walk: replays the speculative arm tree in exact
@@ -584,14 +611,13 @@ let run ?pool e config =
      i.e. the previous-cycle baseline of the first recorded cycle. *)
   let initial = Engine.values_snapshot e in
   let registry : (string, Trace.node ref) Hashtbl.t = Hashtbl.create 256 in
-  let nslots = match pool with Some p -> Parallel.Pool.size p | None -> 1 in
   let sd =
     {
       cfg = config;
       pool;
       proto = e;
-      scratch = Array.make nslots None;
-      gangs = Array.make nslots None;
+      free = ref [];
+      free_lock = Mutex.create ();
       stop = Atomic.make false;
       est_paths = Atomic.make 0;
     }

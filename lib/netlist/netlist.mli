@@ -39,11 +39,16 @@ type gate = {
 
 type t = private {
   gates : gate array;
+      (** indexed by net id. Every fanin of a combinational gate has a
+          lower id than the gate ({!Builder.add_gate} rejects forward
+          combinational fanins), so ascending id is itself a
+          dependency order, like {!field-topo} *)
   module_names : string array;
   net_names : (string * int) list;  (** probe name -> net id *)
   topo : int array;
       (** combinational gates, fanins-first order, partitioned by logic
-          level (see {!field-level_starts}); ids ascend within a level *)
+          level (see {!field-level_starts}); ids ascend within a level.
+          Ascending id over {!field-gates} is a dependency order too *)
   dffs : int array;
   inputs : int array;
   fanouts : int array array;  (** per net: ids of gates reading it *)

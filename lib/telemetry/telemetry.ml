@@ -544,20 +544,26 @@ let write_chrome t ~file =
   Out_channel.with_open_text file (fun oc ->
       output_string oc (to_chrome_json t))
 
-let span_totals ?cat t =
+(* Total seconds and count per [key e], over the events [keep]s. *)
+let totals_by ~keep ~key t =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun e ->
-      if match cat with None -> true | Some c -> String.equal c e.cat then begin
-        let s, n =
-          Option.value (Hashtbl.find_opt tbl e.name) ~default:(0., 0)
-        in
-        Hashtbl.replace tbl e.name (s +. (Int64.to_float e.dur_ns /. 1e9), n + 1)
+      if keep e then begin
+        let k = key e in
+        let s, n = Option.value (Hashtbl.find_opt tbl k) ~default:(0., 0) in
+        Hashtbl.replace tbl k (s +. (Int64.to_float e.dur_ns /. 1e9), n + 1)
       end)
     (events t);
-  Hashtbl.fold (fun name sn acc -> (name, sn) :: acc) tbl []
+  Hashtbl.fold (fun k sn acc -> (k, sn) :: acc) tbl []
   |> List.sort (fun (an, (a, _)) (bn, (b, _)) ->
          match compare b a with 0 -> String.compare an bn | c -> c)
+
+let span_totals ?cat t =
+  totals_by t
+    ~keep:(fun e ->
+      match cat with None -> true | Some c -> String.equal c e.cat)
+    ~key:(fun e -> e.name)
 
 let phase_totals t =
   List.map (fun (name, (s, _)) -> (name, s)) (span_totals ~cat:"phase" t)
@@ -578,7 +584,12 @@ let stats_summary t =
   let b = Buffer.create 1024 in
   let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.origin) /. 1e9 in
   Buffer.add_string b (Printf.sprintf "telemetry (wall %.3f s)\n" wall);
-  (match span_totals t with
+  (* Keyed by category too: a phase and a span nested in it may share a
+     name (phase.explore holds the sym.explore tasks), and summing them
+     would count the same time twice. *)
+  (match
+     totals_by t ~keep:(fun _ -> true) ~key:(fun e -> e.cat ^ "." ^ e.name)
+   with
   | [] -> ()
   | totals ->
     Buffer.add_string b "  spans (total s, count):\n";

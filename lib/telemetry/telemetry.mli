@@ -295,7 +295,8 @@ val phase_totals : t -> (string * float) list
 (** Busy seconds per domain, from ["pool"]-category task spans. *)
 val tid_busy : t -> (int * float) list
 
-(** Human-readable summary: phase breakdown, per-domain utilization,
+(** Human-readable summary: span totals keyed [cat.name] (so a span and
+    a same-named span nested in it stay apart), per-domain utilization,
     counter values, histogram totals with p50/p99 percentiles —
     unit-aware ([_ns] histograms in ms, others as counts). *)
 val stats_summary : t -> string

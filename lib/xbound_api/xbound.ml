@@ -235,51 +235,35 @@ let bench bname =
         (Telemetry.span "assemble" (fun () -> Benchprogs.Bench.assemble b)))
     (find_bench bname)
 
-(* The facade's processor model. Its cache-key digests are baked at
-   build time (Model_digests), so an exact-tier cache hit needs neither
-   the gates nor a digest of them. The CPU and power context are
-   elaborated on first real use, once per process, under a mutex: the
-   first use may come from several executor threads or pool domains at
-   once, where a shared [Lazy.t] would raise [Lazy.Undefined]. An
-   elaboration failure is kept and surfaces as Error.Netlist on every
-   call. *)
-exception Elaboration_failed of string
-
+(* The facade's processor model, baked at build time (Baked_model): the
+   cache-key digests, so an exact-tier cache hit needs neither the gates
+   nor a digest of them, and the marshaled CPU and power context, which
+   [elaborate] unmarshals on first real use, once per process, under a
+   mutex: the first use may come from several executor threads or pool
+   domains at once, where a shared [Lazy.t] would raise
+   [Lazy.Undefined]. *)
+let baked_model = Baked_model.blob
 let elaboration = Mutex.create ()
 let elaborated = ref None
 
 let elaborate () =
-  let r =
-    Mutex.protect elaboration @@ fun () ->
-    match !elaborated with
-    | Some r -> r
-    | None ->
-      let r =
-        match Telemetry.span "elaborate" Core.Analyze.build_standard with
-        | env -> Ok env
-        | exception Netlist.Combinational_loop _ ->
-          Error "combinational loop in the elaborated netlist"
-        | exception e -> Error (Printexc.to_string e)
-      in
-      elaborated := Some r;
-      r
-  in
-  match r with Ok env -> env | Error m -> raise (Elaboration_failed m)
+  Mutex.protect elaboration @@ fun () ->
+  match !elaborated with
+  | Some env -> env
+  | None ->
+    let env =
+      Telemetry.span "elaborate" (fun () ->
+          (Marshal.from_string baked_model 0 : Cpu.t * Poweran.t))
+    in
+    elaborated := Some env;
+    env
 
 let model =
   {
-    Core.Analyze.cpu_digest = (fun () -> Model_digests.cpu);
-    pa_digest = (fun () -> Model_digests.pa);
+    Core.Analyze.cpu_digest = (fun () -> Baked_model.cpu);
+    pa_digest = (fun () -> Baked_model.pa);
     elaborate;
   }
-
-let netlist_errors f =
-  try f () with Elaboration_failed m -> Error (Error.Netlist m)
-
-let with_env f =
-  netlist_errors @@ fun () ->
-  let cpu, pa = elaborate () in
-  f cpu pa
 
 let set_jobs jobs = Option.iter Parallel.set_default_jobs jobs
 
@@ -358,103 +342,102 @@ let analyze ?(ctx = Ctx.default) p =
       ( phase_diff ~before:phases0 ~after:(Telemetry.phase_totals s),
         Telemetry.diff ~before:counters0 ~after:(Telemetry.counters ()) )
   in
-  netlist_errors (fun () ->
-      let exact () =
-        match
-          Core.Analyze.run_model ~config:(config_of p) ?cache:ctx.Ctx.cache
-            ~specialize:ctx.Ctx.specialize model p.p_image
-        with
-        | a ->
-          let pe = a.Core.Analyze.peak_energy in
-          let st = a.Core.Analyze.sym_stats in
-          let phase_timings, counter_deltas = observed () in
-          Ok
-            {
-              program = p;
-              tier = Tier.Exact;
-              peak_power = Bound.exact a.Core.Analyze.peak_power;
-              peak_index = a.Core.Analyze.peak_index;
-              peak_energy = Bound.exact pe.Core.Peak_energy.energy;
-              peak_energy_cycles = pe.Core.Peak_energy.cycles;
-              npe_j_per_cycle = pe.Core.Peak_energy.npe;
-              paths = st.Gatesim.Sym.paths;
-              forks = st.Gatesim.Sym.forks;
-              dedup_hits = st.Gatesim.Sym.dedup_hits;
-              total_cycles = st.Gatesim.Sym.total_cycles;
-              power_trace_w = a.Core.Analyze.power_trace;
-              phase_timings;
-              counter_deltas;
-              detail = Exact_detail a;
-            }
-        | exception Gatesim.Sym.Path_limit m ->
-          Error
-            (Error.Analysis { program = p.p_name; message = "path limit: " ^ m })
-        | exception Core.Peak_energy.Unbounded d ->
-          Error
-            (Error.Analysis
-               {
-                 program = p.p_name;
-                 message =
-                   "input-dependent loop with loop_bound 0 (state " ^ d
-                   ^ "): peak energy is not computable";
-               })
-      in
-      let static () =
-        let cpu, pa = elaborate () in
-        match
-          Static.Ipet.analyze ?cache:ctx.Ctx.cache
-            ~specialize:ctx.Ctx.specialize ~name:p.p_name
-            ~loop_bound:p.loop_bound pa cpu p.p_image
-        with
-        | Error e ->
-          Error
-            (Error.Static_cfg
-               { program = p.p_name; message = Static.Cfg.error_to_string e })
-        | Ok s ->
-          let phase_timings, counter_deltas = observed () in
-          Ok
-            {
-              program = p;
-              tier = Tier.Static;
-              peak_power = Bound.static s.Static.Ipet.s_peak_power_w;
-              peak_index = 0;
-              peak_energy = Bound.static s.Static.Ipet.s_peak_energy_j;
-              peak_energy_cycles = s.Static.Ipet.s_cycle_bound;
-              npe_j_per_cycle =
-                (if s.Static.Ipet.s_cycle_bound > 0 then
-                   s.Static.Ipet.s_peak_energy_j
-                   /. float_of_int s.Static.Ipet.s_cycle_bound
-                 else 0.0);
-              paths = 0;
-              forks = 0;
-              dedup_hits = 0;
-              total_cycles = s.Static.Ipet.s_cycle_bound;
-              power_trace_w = [||];
-              phase_timings;
-              counter_deltas;
-              detail = Static_detail s;
-            }
-        | exception Gatesim.Sym.Path_limit m ->
-          Error
-            (Error.Analysis
-               {
-                 program = p.p_name;
-                 message = "block characterization path limit: " ^ m;
-               })
-      in
-      match ctx.Ctx.tier with
-      | Tier.Exact -> exact ()
-      | Tier.Static -> static ()
-      | Tier.Auto -> (
-        (* Static first — it always terminates. Escalate to the exact
-           tier when the static cycle bound says it is feasible; if the
-           CFG defeats the static tier, exact is the only option. *)
-        match static () with
-        | Error (Error.Static_cfg _) -> exact ()
-        | Error _ as e -> e
-        | Ok s when s.peak_energy_cycles <= auto_exact_threshold -> (
-          match exact () with Ok a -> Ok a | Error _ -> Ok s)
-        | Ok s -> Ok s))
+  let exact () =
+    match
+      Core.Analyze.run_model ~config:(config_of p) ?cache:ctx.Ctx.cache
+        ~specialize:ctx.Ctx.specialize model p.p_image
+    with
+    | a ->
+      let pe = a.Core.Analyze.peak_energy in
+      let st = a.Core.Analyze.sym_stats in
+      let phase_timings, counter_deltas = observed () in
+      Ok
+        {
+          program = p;
+          tier = Tier.Exact;
+          peak_power = Bound.exact a.Core.Analyze.peak_power;
+          peak_index = a.Core.Analyze.peak_index;
+          peak_energy = Bound.exact pe.Core.Peak_energy.energy;
+          peak_energy_cycles = pe.Core.Peak_energy.cycles;
+          npe_j_per_cycle = pe.Core.Peak_energy.npe;
+          paths = st.Gatesim.Sym.paths;
+          forks = st.Gatesim.Sym.forks;
+          dedup_hits = st.Gatesim.Sym.dedup_hits;
+          total_cycles = st.Gatesim.Sym.total_cycles;
+          power_trace_w = a.Core.Analyze.power_trace;
+          phase_timings;
+          counter_deltas;
+          detail = Exact_detail a;
+        }
+    | exception Gatesim.Sym.Path_limit m ->
+      Error
+        (Error.Analysis { program = p.p_name; message = "path limit: " ^ m })
+    | exception Core.Peak_energy.Unbounded d ->
+      Error
+        (Error.Analysis
+           {
+             program = p.p_name;
+             message =
+               "input-dependent loop with loop_bound 0 (state " ^ d
+               ^ "): peak energy is not computable";
+           })
+  in
+  let static () =
+    let cpu, pa = elaborate () in
+    match
+      Static.Ipet.analyze ?cache:ctx.Ctx.cache
+        ~specialize:ctx.Ctx.specialize ~name:p.p_name
+        ~loop_bound:p.loop_bound pa cpu p.p_image
+    with
+    | Error e ->
+      Error
+        (Error.Static_cfg
+           { program = p.p_name; message = Static.Cfg.error_to_string e })
+    | Ok s ->
+      let phase_timings, counter_deltas = observed () in
+      Ok
+        {
+          program = p;
+          tier = Tier.Static;
+          peak_power = Bound.static s.Static.Ipet.s_peak_power_w;
+          peak_index = 0;
+          peak_energy = Bound.static s.Static.Ipet.s_peak_energy_j;
+          peak_energy_cycles = s.Static.Ipet.s_cycle_bound;
+          npe_j_per_cycle =
+            (if s.Static.Ipet.s_cycle_bound > 0 then
+               s.Static.Ipet.s_peak_energy_j
+               /. float_of_int s.Static.Ipet.s_cycle_bound
+             else 0.0);
+          paths = 0;
+          forks = 0;
+          dedup_hits = 0;
+          total_cycles = s.Static.Ipet.s_cycle_bound;
+          power_trace_w = [||];
+          phase_timings;
+          counter_deltas;
+          detail = Static_detail s;
+        }
+    | exception Gatesim.Sym.Path_limit m ->
+      Error
+        (Error.Analysis
+           {
+             program = p.p_name;
+             message = "block characterization path limit: " ^ m;
+           })
+  in
+  match ctx.Ctx.tier with
+  | Tier.Exact -> exact ()
+  | Tier.Static -> static ()
+  | Tier.Auto -> (
+    (* Static first — it always terminates. Escalate to the exact
+       tier when the static cycle bound says it is feasible; if the
+       CFG defeats the static tier, exact is the only option. *)
+    match static () with
+    | Error (Error.Static_cfg _) -> exact ()
+    | Error _ as e -> e
+    | Ok s when s.peak_energy_cycles <= auto_exact_threshold -> (
+      match exact () with Ok a -> Ok a | Error _ -> Ok s)
+    | Ok s -> Ok s)
 
 type concrete = {
   cycles : int;
@@ -465,24 +448,23 @@ type concrete = {
 
 let run_concrete ?(ctx = Ctx.default) p ~inputs =
   in_ctx ctx @@ fun () ->
-  with_env (fun cpu pa ->
-      match
-        Core.Analyze.run_concrete ~specialize:ctx.Ctx.specialize pa cpu
-          p.p_image ~inputs
-      with
-      | cycles, trace ->
-        let peak_w, peak_cycle = Poweran.peak_of trace in
-        Ok { cycles = Array.length cycles; peak_w; peak_cycle; trace_w = trace }
-      | exception Failure m ->
-        Error (Error.Analysis { program = p.p_name; message = m }))
+  let cpu, pa = elaborate () in
+  match
+    Core.Analyze.run_concrete ~specialize:ctx.Ctx.specialize pa cpu p.p_image
+      ~inputs
+  with
+  | cycles, trace ->
+    let peak_w, peak_cycle = Poweran.peak_of trace in
+    Ok { cycles = Array.length cycles; peak_w; peak_cycle; trace_w = trace }
+  | exception Failure m ->
+    Error (Error.Analysis { program = p.p_name; message = m })
 
 let cois ?(top = 4) ?(min_gap = 5) a =
   match a.detail with
   | Static_detail _ -> []
-  | Exact_detail raw -> (
-    match elaborate () with
-    | _, pa -> Core.Analyze.cois ~top ~min_gap pa raw
-    | exception Elaboration_failed _ -> [])
+  | Exact_detail raw ->
+    let _, pa = elaborate () in
+    Core.Analyze.cois ~top ~min_gap pa raw
 
 let pp_coi = Core.Coi.pp
 
@@ -525,39 +507,39 @@ let optimize ?(ctx = Ctx.default) bname =
   match find_bench bname with
   | Error e -> Error e
   | Ok b ->
-    with_env (fun cpu pa ->
-        let config =
-          {
-            Core.Analyze.default_config with
-            Core.Analyze.loop_bound = b.Benchprogs.Bench.loop_bound;
-            max_paths = b.Benchprogs.Bench.max_paths;
-          }
-        in
-        match
-          let base =
-            Core.Analyze.run ~config ?cache pa cpu (Benchprogs.Bench.assemble b)
-          in
-          (base, Report.Optrun.greedy ~analysis:base ?cache pa cpu b)
-        with
-        | base, o ->
-          Ok
-            {
-              bench_name = bname;
-              chosen = List.map Core.Optimize.name o.Report.Optrun.chosen;
-              base_peak_w = o.Report.Optrun.base_peak;
-              opt_peak_w = o.Report.Optrun.opt_peak;
-              peak_reduction_pct = Report.Optrun.peak_reduction_pct o;
-              range_reduction_pct = Report.Optrun.range_reduction_pct o;
-              perf_degradation_pct = Report.Optrun.perf_degradation_pct o;
-              energy_overhead_pct = Report.Optrun.energy_overhead_pct o;
-              base_trace_w = base.Core.Analyze.power_trace;
-              opt_trace_w =
-                o.Report.Optrun.opt_analysis.Core.Analyze.power_trace;
-              raw_opt = o;
-            }
-        | exception Gatesim.Sym.Path_limit m ->
-          Error (Error.Analysis { program = bname; message = "path limit: " ^ m })
-        | exception Core.Peak_energy.Unbounded d ->
-          Error
-            (Error.Analysis
-               { program = bname; message = "unbounded loop (state " ^ d ^ ")" }))
+    let cpu, pa = elaborate () in
+    let config =
+      {
+        Core.Analyze.default_config with
+        Core.Analyze.loop_bound = b.Benchprogs.Bench.loop_bound;
+        max_paths = b.Benchprogs.Bench.max_paths;
+      }
+    in
+    match
+      let base =
+        Core.Analyze.run ~config ?cache pa cpu (Benchprogs.Bench.assemble b)
+      in
+      (base, Report.Optrun.greedy ~analysis:base ?cache pa cpu b)
+    with
+    | base, o ->
+      Ok
+        {
+          bench_name = bname;
+          chosen = List.map Core.Optimize.name o.Report.Optrun.chosen;
+          base_peak_w = o.Report.Optrun.base_peak;
+          opt_peak_w = o.Report.Optrun.opt_peak;
+          peak_reduction_pct = Report.Optrun.peak_reduction_pct o;
+          range_reduction_pct = Report.Optrun.range_reduction_pct o;
+          perf_degradation_pct = Report.Optrun.perf_degradation_pct o;
+          energy_overhead_pct = Report.Optrun.energy_overhead_pct o;
+          base_trace_w = base.Core.Analyze.power_trace;
+          opt_trace_w =
+            o.Report.Optrun.opt_analysis.Core.Analyze.power_trace;
+          raw_opt = o;
+        }
+    | exception Gatesim.Sym.Path_limit m ->
+      Error (Error.Analysis { program = bname; message = "path limit: " ^ m })
+    | exception Core.Peak_energy.Unbounded d ->
+      Error
+        (Error.Analysis
+           { program = bname; message = "unbounded loop (state " ^ d ^ ")" })

@@ -11,8 +11,8 @@
     {!Cache.t}, a worker-domain count, and an optional {!Telemetry.t}
     sink for spans/counters/trace export.
 
-    The processor (netlist + power context) is the one {!model}: its
-    cache-key digests are baked in at build time, and it is elaborated
+    The processor (netlist + power context) is the one {!model}: it and
+    its cache-key digests are baked in at build time, and it is loaded
     at most once per process, on the first call that needs gates, and
     shared by every call. *)
 
@@ -50,7 +50,10 @@ module Error : sig
         (** assembly source text rejected by the parser *)
     | Assembly of { program : string; message : string }
         (** AST rejected by the assembler (layout, undefined symbol...) *)
-    | Netlist of string  (** processor elaboration failed *)
+    | Netlist of string
+        (** processor elaboration failed; the facade never returns it
+            (its model is elaborated at build time), but the wire code
+            stays for peers that do *)
     | Analysis of { program : string; message : string }
         (** symbolic analysis failed (path limit, unbounded loop...) *)
     | Static_cfg of { program : string; message : string }
@@ -129,15 +132,20 @@ end
 
 (** {1 The processor model} *)
 
-(** The model every facade call analyzes: {!Core.Analyze.build_standard}.
-    Its digests were computed by a generator at build time, so an
+(** The model every facade call analyzes: {!Core.Analyze.build_standard},
+    elaborated and digested by a generator at build time, so an
     exact-tier cache hit neither elaborates the processor nor digests
-    it. [elaborate] builds the CPU and power context on first use,
-    exactly once even when the first uses are concurrent (executor
-    threads, pool domains); explorations, the power trace, {!explain},
-    {!cois}, {!run_concrete}, {!optimize} and the static tier all go
-    through it. *)
+    it. [elaborate] unmarshals {!baked_model} on first use, exactly once
+    even when the first uses are concurrent (executor threads, pool
+    domains), under an ["elaborate"] telemetry span; explorations, the
+    power trace, {!explain}, {!cois}, {!run_concrete}, {!optimize} and
+    the static tier all go through it. *)
 val model : Core.Analyze.model
+
+(** The bytes {!model}'s [elaborate] unmarshals:
+    [Marshal.to_string (Core.Analyze.build_standard ()) []], one marshal
+    of the pair, so the power context's netlist is physically the CPU's. *)
+val baked_model : string
 
 (** {1 Programs} *)
 

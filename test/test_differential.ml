@@ -557,6 +557,31 @@ let test_levels_random () =
 
 let test_levels_cpu () = check_levels (Tsupport.the_cpu ()).Cpu.netlist
 
+(* Every fanin of a combinational gate has a lower id than the gate, so
+   ascending net id is a dependency order: the engine's X-propagation
+   pass visits X nets in that order instead of the program's. *)
+let check_id_order nl =
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      match g.Netlist.cell with
+      | Netlist.Input | Netlist.Const _ | Netlist.Dff | Netlist.Dffe -> ()
+      | _ ->
+        Array.iter
+          (fun f ->
+            if f >= g.Netlist.id then
+              Alcotest.failf "gate %d reads fanin %d" g.Netlist.id f)
+          g.Netlist.fanins)
+    nl.Netlist.gates
+
+let test_id_order_random () =
+  (* the designs [test_random_netlists] simulates *)
+  for trial = 0 to 14 do
+    let nl, _ = random_design (Random.State.make [| 0x5eed; trial |]) in
+    check_id_order nl
+  done
+
+let test_id_order_cpu () = check_id_order (Tsupport.the_cpu ()).Cpu.netlist
+
 (* ---------------- Mem copy-on-write ---------------- *)
 
 let test_mem_cow () =
@@ -1059,6 +1084,10 @@ let () =
         [
           Alcotest.test_case "random designs" `Quick test_levels_random;
           Alcotest.test_case "cpu netlist" `Quick test_levels_cpu;
+          Alcotest.test_case "fanin ids below gate ids: random designs"
+            `Quick test_id_order_random;
+          Alcotest.test_case "fanin ids below gate ids: cpu netlist" `Quick
+            test_id_order_cpu;
         ] );
       ( "state",
         [

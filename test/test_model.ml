@@ -1,5 +1,5 @@
-(* The facade's processor model: digests baked at build time, and
-   elaboration deferred to the first call that needs gates. Every check
+(* The facade's processor model: the model and its digests baked at
+   build time, and loading deferred to the first call that needs gates. Every check
    here counts elaborations of the facade's model, so the suite runs in
    a process of its own, and the concurrent first-use scenario runs in a
    child process started from this executable. *)
@@ -51,6 +51,22 @@ let test_baked_digests () =
   checks "netlist+ports digest" (Core.Analyze.cpu_digest cpu)
     (Xbound.model.Core.Analyze.cpu_digest ());
   checks "power context digest" (Core.Analyze.pa_digest pa)
+    (Xbound.model.Core.Analyze.pa_digest ())
+
+(* The model-drift guard: the baked bytes are what marshaling a
+   processor built now gives, and the model they load keeps the power
+   context's netlist shared with the CPU's and digests to the baked
+   digests. Unmarshaled here, not through [Xbound.model], so the
+   facade's own elaboration count below stays untouched. *)
+let test_baked_model () =
+  checkb "baked model is a fresh build's" true
+    (String.equal Xbound.baked_model
+       (Marshal.to_string (Core.Analyze.build_standard ()) []));
+  let cpu, pa = (Marshal.from_string Xbound.baked_model 0 : Cpu.t * Poweran.t) in
+  checkb "one netlist" true (Poweran.netlist pa == cpu.Cpu.netlist);
+  checks "loaded netlist+ports digest" (Core.Analyze.cpu_digest cpu)
+    (Xbound.model.Core.Analyze.cpu_digest ());
+  checks "loaded power context digest" (Core.Analyze.pa_digest pa)
     (Xbound.model.Core.Analyze.pa_digest ())
 
 (* One sink, one disk cache and one analysis shared by the hit and the
@@ -209,8 +225,12 @@ let () =
     Alcotest.run "model"
       [
         ( "baked",
-          [ Alcotest.test_case "digests match a fresh build" `Quick
-              test_baked_digests ] );
+          [
+            Alcotest.test_case "digests match a fresh build" `Quick
+              test_baked_digests;
+            Alcotest.test_case "model matches a fresh build" `Quick
+              test_baked_model;
+          ] );
         ( "deferred",
           [
             Alcotest.test_case "cache hit without elaboration" `Quick

@@ -270,6 +270,77 @@ let test_parallel_analyze_deterministic () =
   Alcotest.(check bool) "power trace identical" true
     (seq.Core.Analyze.power_trace = par.Core.Analyze.power_trace)
 
+(* Several threads of one domain sharing one pool — a server's executor
+   threads — each run whole analyses on it at once. Every thread has
+   the pool's worker index 0, and a thread awaiting its own run helps
+   on the pool, so it may run a task of another thread's run while that
+   thread is mid-cycle; each task must still simulate on scratch state
+   of its own. Trees and bounds must equal the sequential ones. *)
+let concurrent_kernels = [ "binSearch"; "median3"; "sad4"; "PI" ]
+let concurrent_threads = 3
+let concurrent_rounds = 8
+
+let test_concurrent_runs_one_pool () =
+  let cpu = Tsupport.the_cpu () in
+  let pa = Core.Analyze.poweran_for cpu in
+  let analyze ?pool name =
+    let b =
+      List.find
+        (fun b -> String.equal b.Benchprogs.Bench.name name)
+        (Benchprogs.Bench.all @ Benchprogs.Extended.all)
+    in
+    let config =
+      {
+        Core.Analyze.default_config with
+        Core.Analyze.loop_bound = b.Benchprogs.Bench.loop_bound;
+        max_paths = b.Benchprogs.Bench.max_paths;
+      }
+    in
+    Core.Analyze.run ~config ?pool pa cpu (Benchprogs.Bench.assemble b)
+  in
+  let seq_pool = Parallel.Pool.create ~jobs:1 in
+  let reference =
+    List.map (fun k -> (k, analyze ~pool:seq_pool k)) concurrent_kernels
+  in
+  let same (r : Core.Analyze.t) (a : Core.Analyze.t) =
+    r.Core.Analyze.peak_power = a.Core.Analyze.peak_power
+    && r.Core.Analyze.peak_index = a.Core.Analyze.peak_index
+    && r.Core.Analyze.peak_energy = a.Core.Analyze.peak_energy
+    && r.Core.Analyze.power_trace = a.Core.Analyze.power_trace
+    && stats_equal r.Core.Analyze.sym_stats a.Core.Analyze.sym_stats
+    && tree_equal (Core.Analyze.tree r) (Core.Analyze.tree a)
+  in
+  let pool = Parallel.Pool.create ~jobs:2 in
+  let wrong = Atomic.make [] in
+  let record m =
+    let rec go () =
+      let l = Atomic.get wrong in
+      if not (Atomic.compare_and_set wrong l (m :: l)) then go ()
+    in
+    go ()
+  in
+  let nk = List.length concurrent_kernels in
+  let worker t () =
+    for round = 1 to concurrent_rounds do
+      for i = 0 to nk - 1 do
+        (* each thread walks the kernels from its own offset *)
+        let k = List.nth concurrent_kernels ((i + t) mod nk) in
+        match analyze ~pool k with
+        | a ->
+          if not (same (List.assoc k reference) a) then
+            record (Printf.sprintf "thread %d round %d %s: differs" t round k)
+        | exception e ->
+          record
+            (Printf.sprintf "thread %d round %d %s: %s" t round k
+               (Printexc.to_string e))
+      done
+    done
+  in
+  List.init concurrent_threads (fun t -> Thread.create (worker t) ())
+  |> List.iter Thread.join;
+  Alcotest.(check (list string)) "every concurrent analysis as sequential" []
+    (List.rev (Atomic.get wrong))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -308,5 +379,7 @@ let () =
         @ [
             Alcotest.test_case "parallel Analyze.run == sequential" `Slow
               test_parallel_analyze_deterministic;
+            Alcotest.test_case "concurrent analyses on one pool" `Slow
+              test_concurrent_runs_one_pool;
           ] );
     ]

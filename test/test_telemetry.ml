@@ -30,6 +30,42 @@ let test_span_nesting () =
         (ends child <= ends outer))
     [ inner; inner2 ]
 
+(* A phase and the same-named spans nested in it (phase.explore holding
+   the sym.explore tasks) are separate summary rows; summed by name
+   alone they would count the nested time twice and exceed the wall. *)
+let test_summary_nested_same_name () =
+  let t = Telemetry.create () in
+  let busy () =
+    let t0 = Telemetry.now_ns () in
+    while Int64.sub (Telemetry.now_ns ()) t0 < 2_000_000L do
+      ()
+    done
+  in
+  Telemetry.with_ambient t (fun () ->
+      sp "explore" (fun () ->
+          Telemetry.span ~cat:"sym" "explore" busy;
+          Telemetry.span ~cat:"sym" "explore" busy));
+  let rows =
+    List.filter_map
+      (fun l ->
+        match Scanf.sscanf l " %s %f %d%!" (fun k s n -> (k, (s, n))) with
+        | r -> Some r
+        | exception _ -> None)
+      (String.split_on_char '\n' (Telemetry.stats_summary t))
+  in
+  let row k =
+    match List.assoc_opt k rows with
+    | Some r -> r
+    | None -> Alcotest.failf "no %s row" k
+  in
+  let phase_s, phase_n = row "phase.explore" in
+  let sym_s, sym_n = row "sym.explore" in
+  Alcotest.(check int) "one phase" 1 phase_n;
+  Alcotest.(check int) "two nested spans" 2 sym_n;
+  Alcotest.(check bool) "no row keyed by name alone" false
+    (List.mem_assoc "explore" rows);
+  Alcotest.(check bool) "nested time within the phase" true (sym_s <= phase_s)
+
 let test_span_exception () =
   let t = Telemetry.create () in
   (try
@@ -595,6 +631,8 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
+          Alcotest.test_case "summary keeps nested same-name spans apart"
+            `Quick test_summary_nested_same_name;
           Alcotest.test_case "exception" `Quick test_span_exception;
           Alcotest.test_case "across domains" `Quick test_spans_across_domains;
         ] );
