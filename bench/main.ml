@@ -234,14 +234,6 @@ let micro ~smoke () =
     Test.make ~name:"symbolic-analysis-tea8"
       (Staged.stage (fun () -> ignore (Core.Analyze.run pa cpu img)))
   in
-  (* Specialization ablation control: the identical analysis on the full
-     gate program. The gap between this row and symbolic-analysis-tea8
-     is the measured value of constant folding + program repacking. *)
-  let symbolic_tree_nospec =
-    Test.make ~name:"symbolic-analysis-tea8-nospec"
-      (Staged.stage (fun () ->
-           ignore (Core.Analyze.run ~specialize:false pa cpu img)))
-  in
   (* Sequential tree exploration on an explicit one-worker pool: the
      in-process baseline the parallel variant above is compared to. *)
   let seq_pool = Parallel.Pool.create ~jobs:1 in
@@ -272,43 +264,31 @@ let micro ~smoke () =
   (* One fully instrumented, uncached reference analysis: its per-phase
      wall-time breakdown is mirrored into BENCH_micro.json, and the same
      run is exported as a Chrome trace for the CI artifact. *)
-  let words_per_cycle ~specialize =
+  let wpc =
     (* counters are no-ops without an ambient sink, so install one for
        the measured run *)
     Telemetry.with_ambient (Telemetry.create ()) @@ fun () ->
     let before = Telemetry.counters () in
-    let a = Core.Analyze.run ~specialize pa cpu img in
+    ignore (Core.Analyze.run pa cpu img);
     let d = Telemetry.diff ~before ~after:(Telemetry.counters ()) in
     let get name = Option.value ~default:0 (List.assoc_opt name d) in
-    ( a,
-      float_of_int (get "engine.words_evaluated")
-      /. float_of_int (max 1 (get "engine.cycles")) )
+    float_of_int (get "engine.words_evaluated")
+    /. float_of_int (max 1 (get "engine.cycles"))
   in
-  let _, wpc_spec = words_per_cycle ~specialize:true in
-  let _, wpc_nospec = words_per_cycle ~specialize:false in
-  let sp = Core.Analyze.specialization_for cpu in
   let gate_count = Netlist.gate_count cpu.Cpu.netlist in
-  let spec_gate_count = gate_count - Netlist.Specialize.folded_count sp in
-  Printf.printf
-    "%-28s %d gates -> %d specialized (%d folded, %d swept), %.1f -> %.1f \
-     words/cycle\n"
-    "specialization-tea8" gate_count spec_gate_count
-    (Netlist.Specialize.folded_count sp)
-    (Netlist.Specialize.swept sp) wpc_nospec wpc_spec;
+  Printf.printf "%-28s %d gates, %.1f words/cycle\n" "words-per-cycle-tea8"
+    gate_count wpc;
   let row_extras =
-    let spec_row wpc spec_gates =
-      Printf.sprintf
-        ", \"gate_count\": %d, \"specialized_gate_count\": %d, \
-         \"words_per_cycle\": %.1f"
-        gate_count spec_gates wpc
+    let row =
+      Printf.sprintf ", \"gate_count\": %d, \"words_per_cycle\": %.1f"
+        gate_count wpc
     in
-    [
-      ("symbolic-analysis-tea8", spec_row wpc_spec spec_gate_count);
-      ("symbolic-analysis-tea8-j1", spec_row wpc_spec spec_gate_count);
-      ("symbolic-analysis-tea8-jN", spec_row wpc_spec spec_gate_count);
-      ("symbolic-analysis-tea8-nospec", spec_row wpc_nospec gate_count);
-      ("symbolic-analysis-div-j1", spec_row wpc_spec spec_gate_count);
-    ]
+    List.map
+      (fun name -> (name, row))
+      [
+        "symbolic-analysis-tea8"; "symbolic-analysis-tea8-j1";
+        "symbolic-analysis-tea8-jN"; "symbolic-analysis-div-j1";
+      ]
   in
   let tel = Telemetry.create () in
   let a = Telemetry.with_ambient tel (fun () -> Core.Analyze.run pa cpu img) in
@@ -353,7 +333,6 @@ let micro ~smoke () =
       (* 2 reset + 100 stepped cycles *)
       ("concrete-100-cycles", 102.);
       ("symbolic-analysis-tea8", sym_cycles);
-      ("symbolic-analysis-tea8-nospec", sym_cycles);
       ("symbolic-analysis-tea8-j1", sym_cycles);
       ("symbolic-analysis-tea8-jN", sym_cycles);
       ("algorithm2-peak-power", float_of_int (Array.length a.Core.Analyze.power_trace));
@@ -377,7 +356,7 @@ let micro ~smoke () =
           | _ -> Printf.printf "%-28s (no estimate)\n" name)
         results)
     [
-      concrete_step; symbolic_tree; symbolic_tree_nospec; symbolic_tree_seq;
+      concrete_step; symbolic_tree; symbolic_tree_seq;
       symbolic_tree_par; symbolic_div; peak_power; cpu_build; model_load;
     ];
   let cache_json, cold_s, warm_s, speedup = bench_cache pa cpu img in

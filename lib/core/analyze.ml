@@ -45,16 +45,9 @@ let poweran_for ?(lib = Stdcell.default) ?(period = 1e-8) cpu =
     ~module_scale:[ ("multiplier", 1.6) ]
     cpu.Cpu.netlist lib ~period
 
-let c_folded = Telemetry.Counter.make "engine.gates_folded"
-let c_swept = Telemetry.Counter.make "engine.gates_swept"
-
-(* Denominator for the fold ratio (folded / total): bumped per engine,
-   specialized or not, so the ratio is well-defined in both modes. *)
-let c_gates = Telemetry.Counter.make "engine.gates_total"
-
 (* The specialization depends only on the netlist and the reset
    protocol (not on the program image), so one result serves every
-   analysis over a CPU — memoized by netlist identity, like the digest
+   report over a CPU — memoized by netlist identity, like the digest
    memos below. A concurrent recompute from a pool worker is harmless
    (last write wins, same result). *)
 let spec_memo : (Netlist.t * Netlist.Specialize.t) option ref = ref None
@@ -72,30 +65,16 @@ let specialization_for cpu =
     spec_memo := Some (nl, sp);
     sp
 
-(* Membership test for folded nets, computed regardless of whether the
-   engines run specialized — [Explain] labels folded gates as a
-   "constant" class, and that labeling must not depend on the engine
-   mode (outputs are byte-identical with specialization on or off). *)
+(* Membership test for folded nets: [Explain] labels folded gates as a
+   "constant" class. Only explain computes it; analyses never do. *)
 let folded_pred cpu =
   let sp = specialization_for cpu in
   Netlist.Specialize.is_folded sp
 
-let engine_for ?(specialize = true) cpu image ~symbolic =
+let engine_for cpu image ~symbolic =
   let mem = Cpu.mem_of_image image in
   if not symbolic then Cpu.zero_ram mem;
-  Telemetry.Counter.add c_gates (Netlist.gate_count cpu.Cpu.netlist);
-  let spec =
-    if specialize then begin
-      let sp = specialization_for cpu in
-      Telemetry.Counter.add c_folded (Netlist.Specialize.folded_count sp);
-      Telemetry.Counter.add c_swept (Netlist.Specialize.swept sp);
-      Some sp
-    end
-    else None
-  in
-  let e =
-    Gatesim.Engine.create ?spec cpu.Cpu.netlist ~ports:cpu.Cpu.ports ~mem
-  in
+  let e = Gatesim.Engine.create cpu.Cpu.netlist ~ports:cpu.Cpu.ports ~mem in
   if not symbolic then Gatesim.Engine.set_port_in e (Array.make 16 Tri.Zero);
   e
 
@@ -208,19 +187,14 @@ let of_bounds image load_tree b =
    later through the same single-flight "symtree" memo, so it comes from
    memory, from disk, or from a deterministic re-exploration. The model
    is elaborated only inside those computations, so a hit needs only
-   its digests.
-
-   [specialize] (default on) only selects the engine's compiled program;
-   trees, digests and bounds are bit-identical either way (the
-   differential suite enforces it), so it deliberately does NOT enter
-   the cache keys — cached entries are shared across modes. *)
-let run_model ?(config = default_config) ?pool ?cache ?specialize m
+   its digests. *)
+let run_model ?(config = default_config) ?pool ?cache m
     (image : Isa.Asm.image) =
   Telemetry.span "analyze" @@ fun () ->
   let explore () =
     let cpu, _ = m.elaborate () in
     let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
-    let e = engine_for ?specialize cpu image ~symbolic:true in
+    let e = engine_for cpu image ~symbolic:true in
     let sym_config =
       {
         (Gatesim.Sym.default_config
@@ -270,8 +244,8 @@ let run_model ?(config = default_config) ?pool ?cache ?specialize m
     in
     of_bounds image (fun () -> fst (symtree ())) b
 
-let run ?config ?pool ?cache ?specialize pa cpu image =
-  run_model ?config ?pool ?cache ?specialize (model pa cpu) image
+let run ?config ?pool ?cache pa cpu image =
+  run_model ?config ?pool ?cache (model pa cpu) image
 
 (* Symbolic execution of a program fragment: boot the machine with the
    reset vector pointed at [entry] and explore until [is_end]. Because
@@ -279,7 +253,7 @@ let run ?config ?pool ?cache ?specialize pa cpu image =
    value), booting straight into a basic block is exactly the
    conservative "entered from any machine state" entry the static tier
    needs — no prologue, no state surgery. *)
-let run_fragment ?pool ?specialize ~is_end ~max_cycles_per_path ~max_paths cpu
+let run_fragment ?pool ~is_end ~max_cycles_per_path ~max_paths cpu
     (image : Isa.Asm.image) ~entry =
   Telemetry.span "fragment" @@ fun () ->
   let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
@@ -335,7 +309,7 @@ let run_fragment ?pool ?specialize ~is_end ~max_cycles_per_path ~max_paths cpu
       false
     | _ -> is_end cy
   in
-  let e = engine_for ?specialize cpu image ~symbolic:true in
+  let e = engine_for cpu image ~symbolic:true in
   let sym_config =
     {
       (Gatesim.Sym.default_config ~is_end) with
@@ -346,9 +320,9 @@ let run_fragment ?pool ?specialize ~is_end ~max_cycles_per_path ~max_paths cpu
   Gatesim.Sym.run ?pool e sym_config
 
 (* Concrete (input-based) execution for profiling and validation. *)
-let run_concrete ?specialize pa cpu (image : Isa.Asm.image) ~inputs =
+let run_concrete pa cpu (image : Isa.Asm.image) ~inputs =
   Telemetry.span "concrete" @@ fun () ->
-  let e = engine_for ?specialize cpu image ~symbolic:false in
+  let e = engine_for cpu image ~symbolic:false in
   List.iter
     (fun (addr, ws) ->
       List.iteri

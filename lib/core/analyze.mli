@@ -41,22 +41,19 @@ val flattened : t -> Gatesim.Trace.cycle array
     the multiplier-array wire scale (see DESIGN.md calibration notes). *)
 val poweran_for : ?lib:Stdcell.t -> ?period:float -> Cpu.t -> Poweran.t
 
-(** {1 Specialization}
+(** {1 Constant nets}
 
     {!Netlist.Specialize} depends only on the netlist and the reset
-    protocol, so one result serves every analysis over a CPU; it is
+    protocol, so one result serves every report over a CPU; it is
     memoized by netlist identity and computed under a ["specialize"]
-    telemetry span. Engines take it via the [?specialize] flags below
-    (default on); trees, digests and bounds are bit-identical with it on
-    or off, which is why the flag does not enter cache keys. *)
+    telemetry span. Only explain's ["constant"] gate class uses it: the
+    engines simulate every gate, so analyses never compute it. *)
 
 (** The memoized specialization of a CPU's netlist. *)
 val specialization_for : Cpu.t -> Netlist.Specialize.t
 
-(** [folded_pred cpu net] — true when [net] is proven constant. Computed
-    from {!specialization_for} regardless of engine mode, so reports
-    using it (the [Explain] "constant" gate class) are byte-identical
-    with specialization on or off. *)
+(** [folded_pred cpu net] — true when [net] is proven constant, from
+    {!specialization_for} (the [Explain] "constant" gate class). *)
 val folded_pred : Cpu.t -> int -> bool
 
 (** {1 Caching}
@@ -124,7 +121,6 @@ val run_model :
   ?config:config ->
   ?pool:Parallel.Pool.t ->
   ?cache:Cache.t ->
-  ?specialize:bool ->
   model ->
   Isa.Asm.image ->
   t
@@ -134,7 +130,6 @@ val run :
   ?config:config ->
   ?pool:Parallel.Pool.t ->
   ?cache:Cache.t ->
-  ?specialize:bool ->
   Poweran.t ->
   Cpu.t ->
   Isa.Asm.image ->
@@ -149,7 +144,6 @@ val run :
     the first fetch outside the block). *)
 val run_fragment :
   ?pool:Parallel.Pool.t ->
-  ?specialize:bool ->
   is_end:(Gatesim.Trace.cycle -> bool) ->
   max_cycles_per_path:int ->
   max_paths:int ->
@@ -163,7 +157,6 @@ val run_fragment :
     [(address, words)] pokes into RAM. Returns the cycle records and the
     observed per-cycle power trace. *)
 val run_concrete :
-  ?specialize:bool ->
   Poweran.t ->
   Cpu.t ->
   Isa.Asm.image ->

@@ -164,21 +164,12 @@ module Ctx = struct
     jobs : int option;
     telemetry : Telemetry.t option;
     tier : Tier.t;
-    specialize : bool;
   }
 
-  let default =
-    {
-      cache = None;
-      jobs = None;
-      telemetry = None;
-      tier = Tier.Exact;
-      specialize = true;
-    }
+  let default = { cache = None; jobs = None; telemetry = None; tier = Tier.Exact }
 
-  let create ?cache ?jobs ?telemetry ?(tier = Tier.Exact)
-      ?(specialize = true) () =
-    { cache; jobs; telemetry; tier; specialize }
+  let create ?cache ?jobs ?telemetry ?(tier = Tier.Exact) () =
+    { cache; jobs; telemetry; tier }
 end
 
 type program = {
@@ -344,8 +335,8 @@ let analyze ?(ctx = Ctx.default) p =
   in
   let exact () =
     match
-      Core.Analyze.run_model ~config:(config_of p) ?cache:ctx.Ctx.cache
-        ~specialize:ctx.Ctx.specialize model p.p_image
+      Core.Analyze.run_model ~config:(config_of p) ?cache:ctx.Ctx.cache model
+        p.p_image
     with
     | a ->
       let pe = a.Core.Analyze.peak_energy in
@@ -385,8 +376,7 @@ let analyze ?(ctx = Ctx.default) p =
   let static () =
     let cpu, pa = elaborate () in
     match
-      Static.Ipet.analyze ?cache:ctx.Ctx.cache
-        ~specialize:ctx.Ctx.specialize ~name:p.p_name
+      Static.Ipet.analyze ?cache:ctx.Ctx.cache ~name:p.p_name
         ~loop_bound:p.loop_bound pa cpu p.p_image
     with
     | Error e ->
@@ -450,8 +440,7 @@ let run_concrete ?(ctx = Ctx.default) p ~inputs =
   in_ctx ctx @@ fun () ->
   let cpu, pa = elaborate () in
   match
-    Core.Analyze.run_concrete ~specialize:ctx.Ctx.specialize pa cpu p.p_image
-      ~inputs
+    Core.Analyze.run_concrete pa cpu p.p_image ~inputs
   with
   | cycles, trace ->
     let peak_w, peak_cycle = Poweran.peak_of trace in
@@ -480,9 +469,6 @@ let explain ?ctx ?(top = 4) ?(min_gap = 5) a =
     let ctx = Option.value ctx ~default:Ctx.default in
     in_ctx ctx @@ fun () ->
     let cpu, pa = elaborate () in
-    (* [folded] is passed regardless of [ctx.specialize] — the class
-       labeling comes from the netlist analysis, not the engine mode, so
-       reports are byte-identical with specialization on or off. *)
     Explain.Report.build ~top ~min_gap
       ~folded:(Core.Analyze.folded_pred cpu)
       ~name:(name a.program) pa raw

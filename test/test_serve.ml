@@ -228,7 +228,17 @@ let test_request_codec () =
   checkb "bad op" true
     (Result.is_error
        (Wire.Request.of_json
-          (Explain.Ejson.Obj [ ("op", Explain.Ejson.Str "nonsense") ])))
+          (Explain.Ejson.Obj [ ("op", Explain.Ejson.Str "nonsense") ])));
+  (* An unknown or absent tier is malformed, not silently exact. *)
+  checkb "bad tier rejected" true
+    (Result.is_error
+       (Wire.Request.of_json
+          (Explain.Ejson.parse
+             {|{"op": "analyze", "bench": "tea8", "tier": "psychic"}|})));
+  checkb "absent tier rejected" true
+    (Result.is_error
+       (Wire.Request.of_json
+          (Explain.Ejson.parse {|{"op": "analyze", "bench": "tea8"}|})))
 
 let test_response_codec () =
   List.iter
@@ -237,58 +247,6 @@ let test_response_codec () =
       | Ok r' -> checkb "response round-trip" true (r = r')
       | Error m -> Alcotest.failf "response codec: %s" m)
     response_samples
-
-(* v1 peers keep working against a v2 endpoint: absent tier means exact,
-   bare bound numbers mean exact-tier bounds, absent by_ns means no
-   breakdown. *)
-let test_wire_v1_compat () =
-  checkb "v2 > v1" true (Wire.proto_version > 1);
-  checki "still speaks v1" 1 Wire.min_proto_version;
-  (* v1 analyze request: no "tier" member. *)
-  (match
-     Wire.Request.of_json
-       (Explain.Ejson.parse
-          {|{"op": "analyze", "bench": "tea8"}|})
-   with
-  | Ok (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact }) -> ()
-  | Ok _ -> Alcotest.fail "v1 analyze decoded to the wrong value"
-  | Error m -> Alcotest.failf "v1 analyze rejected: %s" m);
-  (* An unknown tier string is malformed, not silently exact. *)
-  checkb "bad tier rejected" true
-    (Result.is_error
-       (Wire.Request.of_json
-          (Explain.Ejson.parse
-             {|{"op": "analyze", "bench": "tea8", "tier": "psychic"}|})));
-  (* v1 analysis response: bare numbers for the bounds, no tier. *)
-  (match
-     Wire.Response.of_json
-       (Explain.Ejson.parse
-          {|{"op": "analysis", "name": "tea8", "paths": 1, "forks": 0,
-             "dedup_hits": 2, "total_cycles": 10, "peak_power_w": 0.002,
-             "peak_index": 3, "peak_energy_j": 1e-9,
-             "peak_energy_cycles": 8, "npe_j_per_cycle": 1e-13,
-             "power_trace_w": [0.001, 0.002]}|})
-   with
-  | Ok
-      (Wire.Response.Analysis
-         { tier = Xbound.Tier.Exact; peak_power; peak_energy; _ }) ->
-    checkb "bound tier exact" true
-      (peak_power.Xbound.Bound.tier = Xbound.Tier.Exact
-      && peak_energy.Xbound.Bound.tier = Xbound.Tier.Exact);
-    checkb "bound values" true
-      (peak_power.Xbound.Bound.value = 0.002
-      && peak_energy.Xbound.Bound.value = 1e-9)
-  | Ok _ -> Alcotest.fail "v1 analysis decoded to the wrong shape"
-  | Error m -> Alcotest.failf "v1 analysis rejected: %s" m);
-  (* v1 cache_stats response: no by_ns member. *)
-  match
-    Wire.Response.of_json
-      (Explain.Ejson.parse
-         {|{"op": "cache_stats", "dir": "/tmp/c", "entries": 3, "bytes": 99}|})
-  with
-  | Ok (Wire.Response.Cache_stats { by_ns = []; entries = 3; _ }) -> ()
-  | Ok _ -> Alcotest.fail "v1 cache_stats decoded to the wrong shape"
-  | Error m -> Alcotest.failf "v1 cache_stats rejected: %s" m
 
 let test_envelopes () =
   let rf =
@@ -479,7 +437,7 @@ let test_serve_protocol_errors () =
     | Error e -> Alcotest.fail (Serve.Frame.read_error_to_string e));
     (* Valid JSON, wrong shape: same story, and the id is echoed. *)
     Serve.Frame.write fd
-      {|{"proto_version": 1, "id": 41, "request": {"op": "launch_missiles"}}|};
+      {|{"proto_version": 3, "id": 41, "request": {"op": "launch_missiles"}}|};
     (match Serve.Frame.read fd with
     | Ok reply -> (
       match Wire.decode_response reply with
@@ -487,7 +445,18 @@ let test_serve_protocol_errors () =
       | Ok _ -> Alcotest.fail "expected protocol error with id 41"
       | Error e -> Alcotest.fail (Xbound.Error.to_string e))
     | Error e -> Alcotest.fail (Serve.Frame.read_error_to_string e));
-    (* The connection survived both: a real request still works. *)
+    (* Only the current protocol version is accepted: an older (v2)
+       frame with a valid request is a typed protocol error. *)
+    Serve.Frame.write fd
+      {|{"proto_version": 2, "id": 43, "request": {"op": "bench_list"}}|};
+    (match Serve.Frame.read fd with
+    | Ok reply -> (
+      match Wire.decode_response reply with
+      | Ok { Wire.rid = 43; result = Error (Xbound.Error.Protocol _) } -> ()
+      | Ok _ -> Alcotest.fail "expected protocol error for proto_version 2"
+      | Error e -> Alcotest.fail (Xbound.Error.to_string e))
+    | Error e -> Alcotest.fail (Serve.Frame.read_error_to_string e));
+    (* The connection survived all three: a real request still works. *)
     Serve.Frame.write fd
       (Wire.encode_request
          { Wire.id = 42; priority = Wire.Interactive;
@@ -1102,7 +1071,6 @@ let () =
           Alcotest.test_case "error codes" `Quick test_error_codes;
           Alcotest.test_case "request codec" `Quick test_request_codec;
           Alcotest.test_case "response codec" `Quick test_response_codec;
-          Alcotest.test_case "v1 compat" `Quick test_wire_v1_compat;
           Alcotest.test_case "envelopes" `Quick test_envelopes;
         ] );
       ( "frame",
